@@ -167,14 +167,11 @@ let invalidate e mask =
       e.neg_tested <- Bitset.diff e.neg_tested mask;
       e.neg_covered <- Bitset.diff e.neg_covered mask)
 
-(* Canonical-clause keys, same scheme as Clause_repair's internal table:
-   structural equality on the (sorted, deduplicated) body with the
-   depth-limited polymorphic hash — no string rendering. *)
+(* Canonical-clause keys: structural equality on the (sorted,
+   deduplicated) body, hashed over every literal — no string rendering. *)
 module Clause_tbl = Hashtbl.Make (struct
   type t = Dlearn_logic.Clause.t
 
   let equal = Dlearn_logic.Clause.equal
-
-  let hash (c : Dlearn_logic.Clause.t) =
-    Hashtbl.hash (c.Dlearn_logic.Clause.head, c.Dlearn_logic.Clause.body)
+  let hash = Dlearn_logic.Clause.hash
 end)

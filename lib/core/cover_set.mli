@@ -74,4 +74,4 @@ val invalidate : entry -> Bitset.t -> unit
 
 module Clause_tbl : Hashtbl.S with type key = Dlearn_logic.Clause.t
 (** Hashtable keyed on canonical clauses ([Clause.canonical] forms):
-    structural equality, polymorphic hash of [(head, body)]. *)
+    structural equality, {!Dlearn_logic.Clause.hash} over every literal. *)

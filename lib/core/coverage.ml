@@ -16,9 +16,15 @@ type prepared = {
       (* the canonical form, key of the cross-seed cover cache *)
 }
 
-let caps (ctx : Context.t) =
-  let c = ctx.Context.config in
-  (c.Config.repair_state_cap, c.Config.repair_result_cap)
+(* Repair enumeration at the configured caps. It is most of a cold
+   learn's coverage work; one span names it at every site, the [site] arg
+   telling them apart. *)
+let enumerate (ctx : Context.t) site
+    (f : ?state_cap:int -> ?result_cap:int -> Clause.t -> Clause.t list) c =
+  let config = ctx.Context.config in
+  Obs.span "coverage.repair_enum" ~args:[ ("site", site) ] (fun () ->
+      f ~state_cap:config.Config.repair_state_cap
+        ~result_cap:config.Config.repair_result_cap c)
 
 (* The relational skeleton of a clause: head and schema atoms only, with
    every occurrence of a term that some repair literal may rewrite
@@ -48,7 +54,6 @@ let skeleton_of (clause : Clause.t) =
     (List.map rewrite (Clause.rel_body clause))
 
 let prepare ctx clause =
-  let state_cap, result_cap = caps ctx in
   let normalize = ctx.Context.config.Config.normalize_clauses in
   let clause =
     if normalize then Obs.span "learn.normalize" (fun () -> Clause_norm.normalize clause)
@@ -58,10 +63,10 @@ let prepare ctx clause =
     clause;
     cfd_apps =
       Memo.make (fun () ->
-          Clause_repair.cfd_applications ~state_cap ~result_cap clause);
+          enumerate ctx "clause_cfd" Clause_repair.cfd_applications clause);
     repairs =
       Memo.make (fun () ->
-          Clause_repair.repaired_clauses ~state_cap ~result_cap clause);
+          enumerate ctx "clause" Clause_repair.repaired_clauses clause);
     skeleton = Memo.make (fun () -> skeleton_of clause);
     canon =
       (* [normalize] is idempotent, so the normalized clause is its own
@@ -90,9 +95,8 @@ let ground_cfd_apps ctx (entry : Context.ground_entry) =
       match entry.Context.cfd_apps with
       | Some apps -> apps
       | None ->
-          let state_cap, result_cap = caps ctx in
           let apps =
-            Clause_repair.cfd_applications ~state_cap ~result_cap
+            enumerate ctx "ground_cfd" Clause_repair.cfd_applications
               entry.Context.ground
           in
           entry.Context.cfd_apps <- Some apps;
@@ -119,9 +123,8 @@ let ground_repairs_unlocked ctx (entry : Context.ground_entry) =
   match entry.Context.repairs with
   | Some rs -> rs
   | None ->
-      let state_cap, result_cap = caps ctx in
       let rs =
-        Clause_repair.repaired_clauses ~state_cap ~result_cap
+        enumerate ctx "ground" Clause_repair.repaired_clauses
           entry.Context.ground
       in
       entry.Context.repairs <- Some rs;

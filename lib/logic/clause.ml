@@ -28,6 +28,11 @@ let equal a b =
   && List.length a.body = List.length b.body
   && List.for_all2 Literal.equal a.body b.body
 
+let hash t =
+  List.fold_left
+    (fun h l -> (h * 31) + Hashtbl.hash l)
+    (Hashtbl.hash t.head) t.body
+
 let map_terms f t =
   { head = Literal.map_terms f t.head; body = List.map (Literal.map_terms f) t.body }
 

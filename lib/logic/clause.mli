@@ -29,6 +29,12 @@ val repair_body : t -> Literal.t list
 
 val equal : t -> t -> bool
 
+(** [hash t] folds [Hashtbl.hash] over the head and every body literal, so
+    clauses that differ in any literal, the last included, hash apart
+    (the polymorphic hash of the whole clause stops after ten words).
+    Consistent with {!equal}; order-sensitive, like it. *)
+val hash : t -> int
+
 (** [map_terms f t] rewrites every term of head and body. *)
 val map_terms : (Term.t -> Term.t) -> t -> t
 

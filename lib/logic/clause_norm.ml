@@ -81,7 +81,7 @@ let generative_vars (c : Clause.t) =
 
 (* Literals recorded in some repair literal's drops list. Repair
    application deletes body literals by [Literal.equal] against those
-   records *before* substituting (Clause_repair.apply_group), so a
+   records *before* substituting (Clause_repair.child), so a
    rewrite that removes or alters a recorded literal would silently
    change which literals a repair deletes. Every pass skips them. *)
 let protected_literals (c : Clause.t) =

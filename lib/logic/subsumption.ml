@@ -695,12 +695,15 @@ let subsumes_target_csp ?(budget = 200_000) ?(repair_connectivity = true)
     Obs.add Stats.search_ns (ns (t2 -. !setup_end));
     (* Per-solve spans would be too hot for the histogram path, but while
        a trace is being recorded the solve's existing clock is worth an
-       event; solves are the leaves every other span decomposes into. *)
+       event; solves are the leaves every other span decomposes into.
+       Both ends are rounded alike, as [Obs.span] rounds them: at this
+       clock's magnitude a float stamp moves in 256 ns steps, and an end
+       taken as [ns t0 + ns (t2 - t0)] can overlap the next span. *)
     if Obs.recording () then
       Obs.emit_event
         ~args:[ ("nodes", string_of_int !nodes) ]
         ~name:"subsumption.solve"
-        ~start_ns:(ns t0) ~dur_ns:(ns (t2 -. t0)) ();
+        ~start_ns:(ns t0) ~dur_ns:(ns t2 - ns t0) ();
     Log.debug (fun m ->
         m "csp solve: %d nodes, %d propagations, %d wipeouts, %.1fus setup, %.1fus search"
           !nodes !props !wipes

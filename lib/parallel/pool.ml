@@ -170,17 +170,19 @@ let participate pool job slot =
   in
   drain_own ();
   flag := previously;
-  let dt = Unix.gettimeofday () -. t0 in
+  let t1 = Unix.gettimeofday () in
+  let dt = t1 -. t0 in
   pool.busy.(slot) <- pool.busy.(slot) +. dt;
   if Obs.active () then begin
-    let dt_ns = int_of_float (dt *. 1e9) in
-    Obs.observe_ns pool.participate_h dt_ns;
+    let ns t = int_of_float (t *. 1e9) in
+    Obs.observe_ns pool.participate_h (ns dt);
+    (* The event's ends are rounded alike, as [Obs.span] rounds them, so
+       it cannot overlap the span that follows it on this domain. *)
     if Obs.recording () then
       Obs.emit_event
         ~args:[ ("slot", string_of_int slot) ]
         ~name:"pool.participate"
-        ~start_ns:(int_of_float (t0 *. 1e9))
-        ~dur_ns:dt_ns ()
+        ~start_ns:(ns t0) ~dur_ns:(ns t1 - ns t0) ()
   end
 
 let worker_loop pool slot ~generation =

@@ -818,9 +818,53 @@ let explain_tests =
         | None -> Alcotest.fail "expected a repair-path explanation");
   ]
 
+(* The enumerator against the reference oracle (repair_oracle.ml) on the
+   ground bottom clauses of the learn_walmart benchmark inputs
+   (Walmart+Amazon n = 26, CFD violations at p = 0.10) at the configured
+   caps. Most of these enumerations stop at a cap, so the truncation paths
+   must agree too. *)
+let repair_oracle_tests =
+  [
+    Alcotest.test_case "walmart ground clauses repair as the oracle does"
+      `Quick (fun () ->
+        let open Dlearn_eval in
+        let w = Walmart_amazon.generate ~n:26 () in
+        let w =
+          Workload.inject_violations w ~p:0.10
+            ~seed:w.Workload.config.Config.seed
+        in
+        let config = w.Workload.config in
+        let ctx =
+          Baselines.make_context Baselines.Dlearn_cfd config w.Workload.db
+            w.Workload.mds w.Workload.cfds
+        in
+        let state_cap = config.Config.repair_state_cap
+        and result_cap = config.Config.repair_result_cap in
+        Alcotest.(check (pair int int)) "default caps" (512, 16)
+          (state_cap, result_cap);
+        let truncated = Dlearn_obs.Obs.counter "repair.truncated" in
+        let before = Dlearn_obs.Obs.value truncated in
+        List.iter
+          (fun e ->
+            let ground = (Bottom_clause.ground ctx e).Context.ground in
+            List.iter
+              (fun cfd ->
+                match
+                  Repair_oracle.disagreement ~cfd ~state_cap ~result_cap ground
+                with
+                | None -> ()
+                | Some why ->
+                    Alcotest.failf "%s (cfd_applications: %b)" why cfd)
+              [ false; true ])
+          (w.Workload.pos @ w.Workload.neg);
+        Alcotest.(check bool) "some enumerations truncated" true
+          (Dlearn_obs.Obs.value truncated > before));
+  ]
+
 let () =
   Alcotest.run "core"
     [
+      ("repair_oracle", repair_oracle_tests);
       ("bottom_clause", bottom_tests);
       ("coverage", coverage_tests);
       ("generalization", generalization_tests);

@@ -136,6 +136,15 @@ let clause_tests =
         let l = rel "R" [ v "x" ] in
         let c = Clause.make ~head:(rel "T" [ v "x" ]) [ l; l ] in
         Alcotest.(check int) "dedup" 1 (Clause.body_size (Clause.canonical c)));
+    Alcotest.test_case "hash reaches the last body literal" `Quick (fun () ->
+        (* Twelve shared literals put the difference past the ten words
+           that the polymorphic hash of the whole clause inspects. *)
+        let shared = List.init 12 (fun i -> rel "R" [ v "x"; v (Printf.sprintf "y%d" i) ]) in
+        let make last = Clause.make ~head:(rel "T" [ v "x" ]) (shared @ [ last ]) in
+        let a = make (rel "S" [ v "y0" ]) and b = make (rel "S" [ v "y1" ]) in
+        Alcotest.(check bool) "hash apart" true (Clause.hash a <> Clause.hash b);
+        Alcotest.(check int) "equal clauses hash alike" (Clause.hash a)
+          (Clause.hash (make (rel "S" [ v "y0" ]))));
   ]
 
 let env_tests =
@@ -532,6 +541,18 @@ let repair_tests =
         in
         Alcotest.(check bool) "H'1 produced" true (contains_clause repaired h1);
         Alcotest.(check bool) "H'2 produced" true (contains_clause repaired h2));
+    Alcotest.test_case "example 3.3: repairs in discovery order" `Quick
+      (fun () ->
+        (* Both MD groups touch x, so the order branches, lower group id
+           first: firing m1 (x := vx) yields H'1, firing m2 (x := ux)
+           yields H'2. *)
+        match Clause_repair.repaired_clauses (example_3_3 ()) with
+        | [ first; second ] ->
+            Alcotest.(check string) "H'1 first" "T(vx)"
+              (Literal.to_string first.Clause.head);
+            Alcotest.(check string) "H'2 second" "T(ux)"
+              (Literal.to_string second.Clause.head)
+        | other -> Alcotest.failf "expected 2, got %d" (List.length other));
     Alcotest.test_case "repair-free clause repairs to itself" `Quick (fun () ->
         let c =
           Clause.make ~head:(rel "T" [ v "x" ]) [ rel "R" [ v "x"; v "y" ] ]
@@ -601,6 +622,51 @@ let repair_tests =
             Alcotest.(check int) "md repairs kept" 4
               (List.length (Clause.repair_body c'))
         | other -> Alcotest.failf "expected 1, got %d" (List.length other));
+    Alcotest.test_case "condition-only twins share a state, as in canonical"
+      `Quick (fun () ->
+        (* [Literal.compare] ignores repair conditions, so
+           [Clause.canonical] keeps one of two repair literals that differ
+           only there. Firing the kept twin's sibling reaches a state whose
+           canonical form is the parent's, which is then not explored
+           again; the enumerator must count states the same way, whether
+           the twins are in the clause from the start or a substitution
+           makes them (x := y turns V(x, y) into a twin of V(y, y)). *)
+        let x = v "x" and y = v "y" and p = v "p" in
+        let mk ?(origin = "phi") ?(group = 0) subject replacement cond =
+          Literal.Repair
+            {
+              origin = Literal.From_cfd origin;
+              group;
+              cond;
+              subject;
+              replacement;
+              drops = [];
+            }
+        in
+        let plain = mk y y [] and guarded = mk y y [ Cond.Ceq (p, p) ] in
+        let merge = mk ~origin:"psi" ~group:1 x y [] in
+        let made = mk x y [ Cond.Ceq (p, p) ] in
+        List.iter
+          (fun repairs ->
+            let c =
+              Clause.make
+                ~head:(rel "T" [ x ])
+                ([ rel "loc" [ x ]; rel "loc" [ y ]; rel "r" [ p ] ] @ repairs)
+            in
+            List.iter
+              (fun cfd ->
+                match
+                  Repair_oracle.disagreement ~cfd ~state_cap:512 ~result_cap:16 c
+                with
+                | None -> ()
+                | Some why -> Alcotest.fail why)
+              [ false; true ])
+          [
+            [ plain; guarded ];
+            [ guarded; plain ];
+            [ merge; made; plain ];
+            [ plain; made; merge ];
+          ]);
     Alcotest.test_case "is_repaired" `Quick (fun () ->
         Alcotest.(check bool) "with repairs" false
           (Clause_repair.is_repaired (example_3_2 ()));
@@ -717,6 +783,93 @@ let mixed_clause_gen =
 
 let mixed_clause_arb = QCheck.make ~print:Clause.to_string mixed_clause_gen
 
+(* Clauses with several repair groups over shared terms — overlapping MD
+   groups, CFD alternatives whose conditions mention MD-rewritten terms,
+   group ids out of body order — so enumeration branches, memoises and
+   hits its caps. Sometimes a repair literal is repeated with another
+   condition: [Literal.compare] ignores conditions, [Literal.equal] does
+   not, so such a pair is one literal to [Clause.canonical]. *)
+let dense_repair_clause_gen =
+  let open QCheck.Gen in
+  let const = map (fun c -> Term.str (String.make 1 c)) (char_range 'a' 'e') in
+  let var = map Term.var (oneofl [ "mx"; "my"; "mz" ]) in
+  let term = oneof [ const; var ] in
+  let lit =
+    frequency
+      [
+        (3, map2 (fun t1 t2 -> rel "p" [ t1; t2 ]) term term);
+        (2, map (fun t -> rel "q" [ t ]) term);
+        (1, map2 (fun a b -> Literal.Eq (a, b)) term term);
+      ]
+  in
+  let* body = list_size (1 -- 5) lit in
+  let* head_arg = term in
+  let* gids = shuffle_l [ 0; 1; 2; 3; 4; 5 ] in
+  let md i gid =
+    let* x = term and* y = term in
+    let sim = Literal.Sim (x, y) in
+    let vx = v (Printf.sprintf "g%dx" i)
+    and vy = v (Printf.sprintf "g%dy" i) in
+    return
+      (sim
+      :: md_group ~md:(Printf.sprintf "m%d" (i mod 2)) ~group:gid
+           ~sims_of_left:[ sim ] ~sims_of_right:[ sim ] (x, vx) (y, vy)
+           [ Cond.Csim (x, y) ])
+  in
+  let cfd gid =
+    let* z = term and* t = term and* a = term and* b = term in
+    let* guarded = bool in
+    let cond =
+      (if guarded then [ Cond.Ceq (a, b) ] else []) @ [ Cond.Cneq (z, t) ]
+    in
+    let mk subject replacement =
+      Literal.Repair
+        {
+          origin = Literal.From_cfd "phi";
+          group = gid;
+          cond;
+          subject;
+          replacement;
+          drops = [];
+        }
+    in
+    return [ rel "loc" [ z ]; rel "loc" [ t ]; mk z t; mk t z ]
+  in
+  let* nmd = 0 -- 3 and* ncfd = 0 -- 2 in
+  let* mds = flatten_l (List.init nmd (fun i -> md i (List.nth gids i))) in
+  let* cfds =
+    flatten_l (List.init ncfd (fun i -> cfd (List.nth gids (3 + i))))
+  in
+  let* twin = bool in
+  let groups = List.concat (mds @ cfds) in
+  let twins =
+    match List.find_opt Literal.is_repair groups with
+    | Some (Literal.Repair r) when twin ->
+        let cond = Cond.Csim (r.subject, r.replacement) :: r.cond in
+        [ Literal.Repair { r with cond } ]
+    | _ -> []
+  in
+  let* order = shuffle_l (body @ groups @ twins) in
+  return (Clause.make ~head:(rel "t" [ head_arg ]) order)
+
+let dense_repair_clause_arb =
+  QCheck.make ~print:Clause.to_string dense_repair_clause_gen
+
+(* The enumerator against the reference oracle in repair_oracle.ml, at caps
+   small enough to cut most enumerations short. *)
+let differential_test name arb =
+  let caps =
+    QCheck.pair
+      (QCheck.oneofl ~print:string_of_int [ 1; 4; 16; 512 ])
+      (QCheck.oneofl ~print:string_of_int [ 1; 2; 16 ])
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name ~count:300 (QCheck.triple arb caps QCheck.bool)
+       (fun (c, (state_cap, result_cap), cfd) ->
+         match Repair_oracle.disagreement ~cfd ~state_cap ~result_cap c with
+         | None -> true
+         | Some why -> QCheck.Test.fail_reportf "%s" why))
+
 (* Repair-free clauses exercising the whole concrete grammar of
    lib/logic/parser.mli — which claims to be the inverse of
    Clause.to_string: multi-char identifiers with digits/underscores/primes,
@@ -765,6 +918,13 @@ let printable_clause_arb =
 
 let qcheck_tests =
   [
+    differential_test "repair enumeration matches the oracle (repair clauses)"
+      repair_clause_arb;
+    differential_test "repair enumeration matches the oracle (mixed clauses)"
+      mixed_clause_arb;
+    differential_test
+      "repair enumeration matches the oracle (dense repair groups)"
+      dense_repair_clause_arb;
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"Parser.clause inverts Clause.to_string"
          ~count:1000 printable_clause_arb (fun c ->
