@@ -228,11 +228,6 @@ let bench_jobs = ref 4
    bench run carries its own stage breakdown. *)
 let bench_report = ref false
 
-(* --engine: restrict bench_subsumption to a single engine — the CI smoke
-   mode. The cross-engine count check and the JSON artifact need the full
-   race, so both are skipped under the restriction. *)
-let bench_engine : Dlearn_logic.Subsumption.engine option ref = ref None
-
 let obs_field () =
   if !bench_report then
     Printf.sprintf ",\n  \"obs\": %s\n" (Dlearn_obs.Obs.report_json ())
@@ -306,12 +301,13 @@ let bench_parallel ~folds:_ ~n () =
   print_newline ()
 
 (* Incremental coverage: replay an ARMG chain — the hill-climb's actual
-   access pattern — under three settings: from-scratch sequential,
-   incremental sequential (verdict cache + monotone inheritance +
-   score-bound pruning) and incremental over the domain pool. Ground
-   caches are pre-warmed in every setting, so the measured difference is
-   exactly the incremental engine's contribution, not one-time setup.
-   Emits BENCH_coverage.json with the raw numbers. *)
+   access pattern — under three settings: from-scratch sequential (every
+   verdict decided by [Coverage.covers_positive]/[covers_negative], no
+   cover cache), incremental sequential (verdict cache + monotone
+   inheritance + score-bound pruning) and incremental over the domain
+   pool. Ground caches are pre-warmed in every setting, so the measured
+   difference is exactly the incremental engine's contribution, not
+   one-time setup. Emits BENCH_coverage.json with the raw numbers. *)
 let bench_coverage ~folds:_ ~n () =
   let jobs = max 2 !bench_jobs in
   (* Jobs sweep: always include the sequential baseline, every power of
@@ -343,14 +339,8 @@ let bench_coverage ~folds:_ ~n () =
             (fun i _ -> i < w.Workload.config.Config.climb_neg_cap)
             w.Workload.neg
         in
-        let make_ctx ~num_domains ~incremental =
-          let config =
-            {
-              w.Workload.config with
-              Config.num_domains;
-              incremental_coverage = incremental;
-            }
-          in
+        let make_ctx ~num_domains =
+          let config = { w.Workload.config with Config.num_domains } in
           let ctx =
             Baselines.make_context Baselines.Dlearn config w.Workload.db
               w.Workload.mds w.Workload.cfds
@@ -368,7 +358,7 @@ let bench_coverage ~folds:_ ~n () =
         (* One monotone ARMG chain, built once and replayed identically in
            every setting. *)
         let chain =
-          let ctx = make_ctx ~num_domains:1 ~incremental:false in
+          let ctx = make_ctx ~num_domains:1 in
           let seed = List.hd pos in
           let bottom = Bottom_clause.build ctx Bottom_clause.Variable seed in
           let rec grow clause acc = function
@@ -384,17 +374,21 @@ let bench_coverage ~folds:_ ~n () =
           grow bottom [ bottom ] (List.tl pos)
         in
         let time_scratch () =
-          let ctx = make_ctx ~num_domains:1 ~incremental:false in
+          let ctx = make_ctx ~num_domains:1 in
+          let count pred es =
+            Dlearn_parallel.Pool.filter_count_list (Context.pool ctx) pred es
+          in
           let t0 = Unix.gettimeofday () in
           List.iter
             (fun clause ->
               let prep = Coverage.prepare ctx clause in
-              ignore (Coverage.coverage ctx prep ~pos ~neg))
+              ignore (count (Coverage.covers_positive ctx prep) pos);
+              ignore (count (Coverage.covers_negative ctx prep) neg))
             chain;
           Unix.gettimeofday () -. t0
         in
         let time_incremental num_domains =
-          let ctx = make_ctx ~num_domains ~incremental:true in
+          let ctx = make_ctx ~num_domains in
           (* Spawn the worker domains outside the timed section: pool
              creation is once per process, not per coverage call. *)
           ignore (Dlearn_parallel.Pool.get num_domains);
@@ -503,457 +497,6 @@ let bench_coverage ~folds:_ ~n () =
   Printf.fprintf oc "  ]%s}\n" (obs_field ());
   close_out oc;
   Printf.printf "wrote BENCH_coverage.json\n\n"
-
-(* θ-subsumption engines: replay the same ARMG-chain coverage workload as
-   [bench_coverage] — the hill-climb's actual access pattern — through the
-   backtracking baseline, the CSP kernel and the SAT ground encoding,
-   sequentially and from scratch, so the measured difference is exactly
-   the matching engine. All engines must produce identical (p, n) counts
-   on every chain element. Emits BENCH_subsumption.json with per-engine
-   times, CSP node counts, SAT conflict/reuse counters, and geometric-mean
-   speedups over the non-trivial datasets (imdb3, walmart). [--engine]
-   restricts the race to one engine (CI smoke; no artifact written). *)
-let bench_subsumption ~folds:_ ~n () =
-  let module Subsumption = Dlearn_logic.Subsumption in
-  let module Sat = Dlearn_logic.Sat_subsumption in
-  let engines =
-    match !bench_engine with
-    | Some e -> [ e ]
-    | None -> [ `Backtrack; `Csp; `Sat ]
-  in
-  Printf.printf "== Theta-subsumption engines: %s ==\n"
-    (String.concat " vs " (List.map Subsumption.engine_name engines));
-  let datasets =
-    [
-      ("imdb1", fun () -> Imdb_omdb.generate ?n `One_md);
-      ("imdb3", fun () -> Imdb_omdb.generate ?n `Three_mds);
-      ("walmart", fun () -> Walmart_amazon.generate ?n ());
-    ]
-  in
-  let results =
-    List.map
-      (fun (name, make) ->
-        let w = Experiment.with_km (make ()) 2 in
-        let pos = w.Workload.pos in
-        let neg =
-          List.filteri
-            (fun i _ -> i < w.Workload.config.Config.climb_neg_cap)
-            w.Workload.neg
-        in
-        let make_ctx engine =
-          let config =
-            {
-              w.Workload.config with
-              Config.num_domains = 1;
-              incremental_coverage = false;
-              subsumption_engine = engine;
-            }
-          in
-          let ctx =
-            Baselines.make_context Baselines.Dlearn config w.Workload.db
-              w.Workload.mds w.Workload.cfds
-          in
-          List.iter
-            (fun e ->
-              let entry = Bottom_clause.ground ctx e in
-              ignore (Coverage.ground_target ctx entry);
-              ignore (Coverage.ground_repair_targets ctx entry);
-              ignore (Coverage.prefilter_target ctx entry))
-            (pos @ neg);
-          ctx
-        in
-        let chain =
-          let ctx = make_ctx `Backtrack in
-          let seed = List.hd pos in
-          let bottom = Bottom_clause.build ctx Bottom_clause.Variable seed in
-          let rec grow clause acc = function
-            | [] -> List.rev acc
-            | e :: rest -> (
-                if List.length acc > 6 then List.rev acc
-                else
-                  match Generalization.armg ctx clause e with
-                  | Some c when not (Dlearn_logic.Clause.equal c clause) ->
-                      grow c (c :: acc) rest
-                  | _ -> grow clause acc rest)
-          in
-          grow bottom [ bottom ] (List.tl pos)
-        in
-        let replay engine =
-          let ctx = make_ctx engine in
-          Subsumption.reset_stats ();
-          Sat.reset_stats ();
-          let t0 = Unix.gettimeofday () in
-          let counts =
-            List.map
-              (fun clause ->
-                let prep = Coverage.prepare ctx clause in
-                Coverage.coverage ctx prep ~pos ~neg)
-              chain
-          in
-          let dt = Unix.gettimeofday () -. t0 in
-          (engine, (dt, counts, Subsumption.stats (), Sat.stats ()))
-        in
-        let runs = List.map replay engines in
-        (match runs with
-        | (_, (_, counts0, _, _)) :: rest ->
-            List.iter
-              (fun (e, (_, counts, _, _)) ->
-                if counts <> counts0 then
-                  failwith
-                    (Printf.sprintf
-                       "%s: engine %s disagrees on coverage counts" name
-                       (Subsumption.engine_name e)))
-              rest
-        | [] -> ());
-        List.iter
-          (fun (e, (_, _, cst, sst)) ->
-            match e with
-            | `Csp ->
-                Printf.printf
-                  "%s csp kernel: %d solves, %d nodes, %d propagations, %d \
-                   wipeouts, %.3fs setup, %.3fs search\n\
-                   %!"
-                  name cst.Subsumption.solves cst.Subsumption.nodes
-                  cst.Subsumption.propagations cst.Subsumption.wipeouts
-                  cst.Subsumption.setup_seconds cst.Subsumption.search_seconds
-            | `Sat ->
-                Printf.printf
-                  "%s sat engine: %d solves, %d conflicts, %d propagations, \
-                   %d learned, %d restarts, %d reused-clause hits, %.3fs \
-                   encode, %.3fs solve\n\
-                   %!"
-                  name sst.Sat.solves sst.Sat.conflicts sst.Sat.propagations
-                  sst.Sat.learned sst.Sat.restarts sst.Sat.reused_clause_hits
-                  sst.Sat.encode_seconds sst.Sat.solve_seconds
-            | `Backtrack -> ())
-          runs;
-        (name, List.length chain, List.length pos, List.length neg, runs))
-      datasets
-  in
-  let time_of e runs =
-    match List.assoc_opt e runs with
-    | Some (dt, _, _, _) -> dt
-    | None -> nan
-  in
-  Text_table.print
-    ~header:
-      ([ "dataset"; "chain" ]
-      @ List.map Subsumption.engine_name engines
-      @ List.map
-          (fun e -> Subsumption.engine_name e ^ " x")
-          (match engines with _ :: tl -> tl | [] -> []))
-    (List.map
-       (fun (name, chain, _, _, runs) ->
-         [ name; string_of_int chain ]
-         @ List.map
-             (fun e -> Printf.sprintf "%.3fs" (time_of e runs))
-             engines
-         @ List.map
-             (fun e ->
-               Printf.sprintf "%.2fx"
-                 (time_of (List.hd engines) runs /. time_of e runs))
-             (match engines with _ :: tl -> tl | [] -> []))
-       results);
-  match engines with
-  | [ only ] ->
-      Printf.printf
-        "single-engine smoke (%s): count check and BENCH_subsumption.json \
-         skipped\n\n"
-        (Subsumption.engine_name only)
-  | _ ->
-      (* imdb1's replay is too small to measure reliably; the acceptance
-         criterion is the geometric mean over the non-trivial datasets. *)
-      let geo engine =
-        let speedups =
-          List.filter_map
-            (fun (name, _, _, _, runs) ->
-              if name = "imdb1" then None
-              else Some (time_of `Backtrack runs /. time_of engine runs))
-            results
-        in
-        exp
-          (List.fold_left (fun acc s -> acc +. log s) 0. speedups
-          /. float_of_int (List.length speedups))
-      in
-      let geo_csp = geo `Csp and geo_sat = geo `Sat in
-      Printf.printf
-        "geometric-mean speedup vs backtrack (imdb3, walmart): csp %.2fx, \
-         sat %.2fx\n\n"
-        geo_csp geo_sat;
-      let oc = open_out "BENCH_subsumption.json" in
-      let n_str = match n with Some v -> string_of_int v | None -> "null" in
-      Printf.fprintf oc
-        "{\n  \"bench\": \"subsumption\",\n  \"n\": %s,\n  \"datasets\": [\n"
-        n_str;
-      List.iteri
-        (fun i (name, chain, npos, nneg, runs) ->
-          let _, _, cst, _ = List.assoc `Csp runs in
-          let _, _, _, sst = List.assoc `Sat runs in
-          let tb = time_of `Backtrack runs
-          and tc = time_of `Csp runs
-          and ts = time_of `Sat runs in
-          Printf.fprintf oc
-            "    {\"dataset\": \"%s\", \"chain_length\": %d, \"pos\": %d, \
-             \"neg\": %d,\n\
-            \     \"backtrack_s\": %.6f, \"csp_s\": %.6f, \"sat_s\": %.6f, \
-             \"speedup_csp\": %.3f, \"speedup_sat\": %.3f,\n\
-            \     \"csp_solves\": %d, \"csp_nodes\": %d, \
-             \"csp_propagations\": %d, \"csp_wipeouts\": %d,\n\
-            \     \"csp_setup_s\": %.6f, \"csp_search_s\": %.6f,\n\
-            \     \"sat_solves\": %d, \"sat_conflicts\": %d, \
-             \"sat_propagations\": %d, \"sat_learned\": %d,\n\
-            \     \"sat_restarts\": %d, \"sat_reused_clause_hits\": %d, \
-             \"sat_encode_s\": %.6f, \"sat_solve_s\": %.6f}%s\n"
-            name chain npos nneg tb tc ts (tb /. tc) (tb /. ts)
-            cst.Subsumption.solves cst.Subsumption.nodes
-            cst.Subsumption.propagations cst.Subsumption.wipeouts
-            cst.Subsumption.setup_seconds cst.Subsumption.search_seconds
-            sst.Sat.solves sst.Sat.conflicts sst.Sat.propagations
-            sst.Sat.learned sst.Sat.restarts sst.Sat.reused_clause_hits
-            sst.Sat.encode_seconds sst.Sat.solve_seconds
-            (if i = List.length results - 1 then "" else ","))
-        results;
-      Printf.fprintf oc
-        "  ],\n\
-        \  \"geomean_speedup_nontrivial\": %.3f,\n\
-        \  \"geomean_speedup_sat_nontrivial\": %.3f%s}\n"
-        geo_csp geo_sat (obs_field ());
-      close_out oc;
-      Printf.printf "wrote BENCH_subsumption.json\n\n"
-
-(* Clause normalization as the cover-cache key: replay the ARMG chain,
-   then rescore an alpha-renamed, body-reversed variant of every chain
-   element — the duplicate work a hill-climb generates when ARMG from
-   different seeds yields alpha-variant candidates. With normalization
-   off the variants recompute every verdict; with it on they collapse
-   onto the chain's cover-cache entries, so the cross-seed hit rate must
-   strictly improve. Also reports the learn.normalize span as a share of
-   replay wall-clock (budget: < 5%). Emits BENCH_normalize.json. *)
-let bench_normalize ~folds:_ ~n () =
-  let module Obs = Dlearn_obs.Obs in
-  let module Clause = Dlearn_logic.Clause in
-  let module Term = Dlearn_logic.Term in
-  Printf.printf "== Clause normalization: cover-cache hit rate off vs on ==\n";
-  let datasets =
-    [
-      ("imdb1", fun () -> Imdb_omdb.generate ?n `One_md);
-      ("imdb3", fun () -> Imdb_omdb.generate ?n `Three_mds);
-      ("walmart", fun () -> Walmart_amazon.generate ?n ());
-    ]
-  in
-  let results =
-    List.map
-      (fun (name, make) ->
-        let w = Experiment.with_km (make ()) 2 in
-        let pos = w.Workload.pos in
-        let neg =
-          List.filteri
-            (fun i _ -> i < w.Workload.config.Config.climb_neg_cap)
-            w.Workload.neg
-        in
-        let make_ctx ~normalize =
-          let config =
-            {
-              w.Workload.config with
-              Config.num_domains = 1;
-              incremental_coverage = true;
-              normalize_clauses = normalize;
-            }
-          in
-          let ctx =
-            Baselines.make_context Baselines.Dlearn config w.Workload.db
-              w.Workload.mds w.Workload.cfds
-          in
-          (* Warm the per-example ground caches — shared by both modes. *)
-          List.iter
-            (fun e ->
-              let entry = Bottom_clause.ground ctx e in
-              ignore (Coverage.ground_target ctx entry);
-              ignore (Coverage.ground_repair_targets ctx entry);
-              ignore (Coverage.prefilter_target ctx entry))
-            (pos @ neg);
-          ctx
-        in
-        (* One monotone ARMG chain, built once and replayed in both
-           modes. *)
-        let chain =
-          let ctx = make_ctx ~normalize:false in
-          let seed = List.hd pos in
-          let bottom = Bottom_clause.build ctx Bottom_clause.Variable seed in
-          let rec grow clause acc = function
-            | [] -> List.rev acc
-            | e :: rest -> (
-                if List.length acc > 6 then List.rev acc
-                else
-                  match Generalization.armg ctx clause e with
-                  | Some c when not (Clause.equal c clause) ->
-                      grow c (c :: acc) rest
-                  | _ -> grow clause acc rest)
-          in
-          grow bottom [ bottom ] (List.tl pos)
-        in
-        (* Alpha-renamed, body-reversed variants: semantically identical
-           clauses with different surface syntax, as produced by ARMG
-           chains that start from a different seed example. *)
-        let variants =
-          List.map
-            (fun c ->
-              let renamed =
-                Clause.map_terms
-                  (function
-                    | Term.Var v -> Term.var ("q_" ^ v) | t -> t)
-                  c
-              in
-              Clause.make ~head:renamed.Clause.head
-                (List.rev renamed.Clause.body))
-            chain
-        in
-        let replay normalize =
-          let ctx = make_ctx ~normalize in
-          let tested = ctx.Context.cover_stats.Context.tested in
-          let hits = ctx.Context.cover_stats.Context.cache_hits in
-          let norm_hist = Obs.histogram "learn.normalize" in
-          let tested0 = Obs.value tested and hits0 = Obs.value hits in
-          let norm0 = (Obs.histogram_snapshot norm_hist).Obs.total_ns in
-          let t0 = Unix.gettimeofday () in
-          List.iter
-            (fun clause ->
-              let prep = Coverage.prepare ctx clause in
-              ignore (Coverage.coverage ctx prep ~pos ~neg))
-            (chain @ variants);
-          let dt = Unix.gettimeofday () -. t0 in
-          let d_tested = Obs.value tested - tested0 in
-          let d_hits = Obs.value hits - hits0 in
-          let norm_s =
-            float_of_int
-              ((Obs.histogram_snapshot norm_hist).Obs.total_ns - norm0)
-            /. 1e9
-          in
-          let hit_rate =
-            if d_tested + d_hits = 0 then 0.
-            else float_of_int d_hits /. float_of_int (d_tested + d_hits)
-          in
-          (dt, d_tested, d_hits, hit_rate, norm_s)
-        in
-        let t_off, tested_off, hits_off, rate_off, _ = replay false in
-        let t_on, tested_on, hits_on, rate_on, norm_s = replay true in
-        (* The < 5% budget is against learn wall-clock, not the warm
-           replay above — run one real learn and compare the
-           learn.normalize span to the enclosing learn span. *)
-        let learn_norm_s, learn_s =
-          (* A cold context: real learns pay grounding and bottom-clause
-             construction too, so the share is measured against the full
-             pipeline, not the warm replay above. *)
-          let config =
-            {
-              w.Workload.config with
-              Config.num_domains = 1;
-              incremental_coverage = true;
-              normalize_clauses = true;
-            }
-          in
-          let ctx =
-            Baselines.make_context Baselines.Dlearn config w.Workload.db
-              w.Workload.mds w.Workload.cfds
-          in
-          let norm_hist = Obs.histogram "learn.normalize" in
-          let learn_hist = Obs.histogram "learn" in
-          let n0 = (Obs.histogram_snapshot norm_hist).Obs.total_ns in
-          let l0 = (Obs.histogram_snapshot learn_hist).Obs.total_ns in
-          ignore (Learner.learn ctx ~pos ~neg);
-          ( float_of_int
-              ((Obs.histogram_snapshot norm_hist).Obs.total_ns - n0)
-            /. 1e9,
-            float_of_int
-              ((Obs.histogram_snapshot learn_hist).Obs.total_ns - l0)
-            /. 1e9 )
-        in
-        Printf.printf
-          "%s: off %d tested / %d hits (%.1f%%) — on %d tested / %d hits \
-           (%.1f%%), normalize %.4fs of %.3fs replay, %.4fs of %.3fs learn\n%!"
-          name tested_off hits_off (100. *. rate_off) tested_on hits_on
-          (100. *. rate_on) norm_s t_on learn_norm_s learn_s;
-        ( name,
-          List.length chain,
-          t_off,
-          t_on,
-          tested_off,
-          hits_off,
-          rate_off,
-          tested_on,
-          hits_on,
-          rate_on,
-          norm_s,
-          learn_norm_s,
-          learn_s ))
-      datasets
-  in
-  Text_table.print
-    ~header:
-      [
-        "dataset";
-        "chain";
-        "off time";
-        "on time";
-        "hit-rate off";
-        "hit-rate on";
-        "learn share";
-      ]
-    (List.map
-       (fun (name, chain, t_off, t_on, _, _, r_off, _, _, r_on, _, ln, l) ->
-         [
-           name;
-           string_of_int chain;
-           Printf.sprintf "%.3fs" t_off;
-           Printf.sprintf "%.3fs" t_on;
-           Printf.sprintf "%.1f%%" (100. *. r_off);
-           Printf.sprintf "%.1f%%" (100. *. r_on);
-           Printf.sprintf "%.2f%%" (100. *. ln /. l);
-         ])
-       results);
-  print_newline ();
-  List.iter
-    (fun (name, _, _, _, _, _, r_off, _, _, r_on, _, _, _) ->
-      if name <> "imdb1" && r_on <= r_off then
-        Printf.printf
-          "WARNING: %s hit rate did not improve (off %.3f, on %.3f)\n" name
-          r_off r_on)
-    results;
-  let oc = open_out "BENCH_normalize.json" in
-  let n_str = match n with Some v -> string_of_int v | None -> "null" in
-  Printf.fprintf oc
-    "{\n  \"bench\": \"normalize\",\n  \"n\": %s,\n  \"datasets\": [\n" n_str;
-  List.iteri
-    (fun i
-         ( name,
-           chain,
-           t_off,
-           t_on,
-           tested_off,
-           hits_off,
-           rate_off,
-           tested_on,
-           hits_on,
-           rate_on,
-           norm_s,
-           learn_norm_s,
-           learn_s ) ->
-      Printf.fprintf oc
-        "    {\"dataset\": \"%s\", \"chain_length\": %d,\n\
-        \     \"off\": {\"seconds\": %.6f, \"tested\": %d, \"cache_hits\": \
-         %d, \"hit_rate\": %.4f},\n\
-        \     \"on\": {\"seconds\": %.6f, \"tested\": %d, \"cache_hits\": \
-         %d, \"hit_rate\": %.4f},\n\
-        \     \"replay_normalize_s\": %.6f, \"learn_normalize_s\": %.6f,\n\
-        \     \"learn_s\": %.6f, \"learn_normalize_share\": %.4f}%s\n"
-        name chain t_off tested_off hits_off rate_off t_on tested_on hits_on
-        rate_on norm_s learn_norm_s learn_s
-        (learn_norm_s /. learn_s)
-        (if i = List.length results - 1 then "" else ","))
-    results;
-  Printf.fprintf oc "  ]%s}\n" (obs_field ());
-  close_out oc;
-  Printf.printf "wrote BENCH_normalize.json\n\n"
 
 (* ------------------------------------------------------------------ *)
 (* Scale: the 10⁵-tuple data path (docs/SCALE.md).                      *)
@@ -1379,8 +922,6 @@ let all_benches =
     ("ablation-size", ablation_clause_size);
     ("parallel", bench_parallel);
     ("coverage", bench_coverage);
-    ("subsumption", bench_subsumption);
-    ("normalize", bench_normalize);
     ("scale", bench_scale);
     ("serve", bench_serve);
   ]
@@ -1388,7 +929,7 @@ let all_benches =
 let usage ?(code = 1) () =
   Printf.printf
     "usage: main.exe [%s|micro|all] [--folds K] [--n N] [--jobs N] \
-     [--engine csp|backtrack|sat] [--report]\n"
+     [--report]\n"
     (String.concat "|" (List.map fst all_benches));
   exit code
 
@@ -1414,13 +955,6 @@ let () =
         bench_jobs := int_of_string v;
         Unix.putenv "DLEARN_NUM_DOMAINS" v;
         parse rest
-    | "--engine" :: v :: rest ->
-        (match Dlearn_logic.Subsumption.engine_of_string v with
-        | Some e -> bench_engine := Some e
-        | None ->
-            Printf.printf "unknown engine %s\n" v;
-            usage ());
-        parse rest
     | "--report" :: rest ->
         bench_report := true;
         parse rest
@@ -1432,8 +966,8 @@ let () =
         usage ()
   in
   parse (List.tl (Array.to_list Sys.argv));
-  (* Spans short-circuit by default; benches read span histograms (e.g.
-     [bench_normalize]'s learn.normalize share), so keep them fed. *)
+  (* Spans short-circuit by default; the --report field reads span
+     histograms, so keep them fed. *)
   Dlearn_obs.Obs.set_metrics true;
   (* Per-run progress lines from the experiment driver (Logs.app). *)
   Logs.set_reporter (Logs.format_reporter ());

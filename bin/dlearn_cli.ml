@@ -65,47 +65,6 @@ let jobs_arg =
   in
   Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
-let no_incremental_arg =
-  let doc =
-    "Disable the incremental coverage engine (verdict caching, \
-     generalization-monotone reuse and score-bound pruning) and test every \
-     candidate from scratch. Both settings learn the identical definition; \
-     also settable via DLEARN_INCREMENTAL=0."
-  in
-  Arg.(value & flag & info [ "no-incremental" ] ~doc)
-
-let no_normalize_arg =
-  let doc =
-    "Disable the clause-normalization pipeline and score raw ARMG \
-     candidates (the cover cache then keys on the sort-only canonical \
-     form, so alpha-variant candidates miss it). Both settings learn the \
-     identical definition; also settable via DLEARN_NORMALIZE=0 — see \
-     docs/NORMALIZATION.md."
-  in
-  Arg.(value & flag & info [ "no-normalize" ] ~doc)
-
-let subsumption_engine_arg =
-  (* The engine list renders from Subsumption.all_engines so the flag,
-     its help text and the library cannot drift. *)
-  let names =
-    List.map
-      (fun (name, _) -> Printf.sprintf "$(b,%s)" name)
-      Dlearn_logic.Subsumption.all_engines
-  in
-  let doc =
-    Printf.sprintf
-      "Theta-subsumption search engine: %s ($(b,csp), the forward-checking \
-       kernel, is the default; $(b,backtrack) is the reference \
-       backtracking search; $(b,sat) grounds into an incremental CDCL \
-       solver). Every engine learns the identical definition; also \
-       settable via DLEARN_SUBSUMPTION."
-      (String.concat ", " names)
-  in
-  Arg.(
-    value
-    & opt (some (enum Dlearn_logic.Subsumption.all_engines)) None
-    & info [ "subsumption-engine" ] ~docv:"ENGINE" ~doc)
-
 let trace_arg =
   let doc =
     "Record the run and write a Chrome trace-event JSON to $(docv) \
@@ -159,20 +118,10 @@ let learn_cmd =
     let doc = "Cross-validation folds." in
     Arg.(value & opt int 5 & info [ "folds" ] ~docv:"K" ~doc)
   in
-  let run dataset system n km depth p folds jobs no_incremental no_normalize
-      engine trace report verbose =
+  let run dataset system n km depth p folds jobs trace report verbose =
     setup_logs verbose;
     let w = apply_overrides (make_dataset ?n dataset) km depth p in
     let w = match jobs with Some j -> Experiment.with_jobs w j | None -> w in
-    let w =
-      if no_incremental then Experiment.with_incremental w false else w
-    in
-    let w = if no_normalize then Experiment.with_normalize w false else w in
-    let w =
-      match engine with
-      | Some e -> Experiment.with_subsumption w e
-      | None -> w
-    in
     let w =
       match trace with Some t -> Experiment.with_trace w (Some t) | None -> w
     in
@@ -191,8 +140,7 @@ let learn_cmd =
     (Cmd.info "learn" ~doc:"Cross-validate a system on a workload.")
     Term.(
       const run $ dataset_arg $ system_arg $ n_arg $ km_arg $ depth_arg $ p_arg
-      $ folds_arg $ jobs_arg $ no_incremental_arg $ no_normalize_arg
-      $ subsumption_engine_arg $ trace_arg $ report_arg $ verbose_arg)
+      $ folds_arg $ jobs_arg $ trace_arg $ report_arg $ verbose_arg)
 
 (* dlearn show *)
 let show_cmd =

@@ -27,7 +27,7 @@
 
     - [DL401] (warning): trivially-satisfied literal or repair-condition
       atom the pipeline would drop. Narrower than DL105, which flags every
-      syntactic tautology: DL401 only fires where the subsumption engines
+      syntactic tautology: DL401 only fires where the subsumption search
       make the verdict static (e.g. [x ~ x] over a variable no schema atom
       binds is DL105 but not DL401).
     - [DL402] (error): unsatisfiable literal — normalization rewrites the

@@ -82,25 +82,7 @@ let pp_report fmt ds =
 
 let report_to_string ds = Format.asprintf "%a" pp_report ds
 
-(* Hand-rolled JSON escaping: the toolchain ships no JSON library and the
-   needs here are modest. *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_string s = Printf.sprintf "\"%s\"" (json_escape s)
+let json_string s = Printf.sprintf "\"%s\"" (Dlearn_obs.Obs.json_escape s)
 
 let subject_json = function
   | Constraint id -> Printf.sprintf {|{"kind":"constraint","id":%s}|} (json_string id)

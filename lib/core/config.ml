@@ -19,9 +19,6 @@ type t = {
   cfd_rounds : int;
   allow_dirty_constraints : bool;
   num_domains : int;
-  incremental_coverage : bool;
-  normalize_clauses : bool;
-  subsumption_engine : Dlearn_logic.Subsumption.engine;
   trace : string option;
   seed : int;
 }
@@ -36,29 +33,6 @@ let default_num_domains () =
       | Some n when n >= 1 -> n
       | Some _ | None -> Domain.recommended_domain_count ())
   | None -> Domain.recommended_domain_count ()
-
-(* DLEARN_INCREMENTAL=0 (or false/off/no) pins the from-scratch coverage
-   path; anything else — including unset — keeps the incremental engine
-   on. CI runs the suites both ways. *)
-let default_incremental () =
-  match Sys.getenv_opt "DLEARN_INCREMENTAL" with
-  | Some s -> (
-      match String.lowercase_ascii (String.trim s) with
-      | "0" | "false" | "off" | "no" -> false
-      | _ -> true)
-  | None -> true
-
-(* DLEARN_NORMALIZE=0 (or false/off/no) scores raw ARMG candidates and
-   keys the cover cache on the sort-only [Clause.canonical]; anything
-   else — including unset — runs the Clause_norm pipeline. CI runs the
-   suites both ways. *)
-let default_normalize () =
-  match Sys.getenv_opt "DLEARN_NORMALIZE" with
-  | Some s -> (
-      match String.lowercase_ascii (String.trim s) with
-      | "0" | "false" | "off" | "no" -> false
-      | _ -> true)
-  | None -> true
 
 (* DLEARN_TRACE=out.json records a Chrome trace of every run that goes
    through [Experiment.evaluate] (the CLI's --trace flag sets the same
@@ -90,9 +64,6 @@ let default ~target =
     cfd_rounds = 2;
     allow_dirty_constraints = false;
     num_domains = default_num_domains ();
-    incremental_coverage = default_incremental ();
-    normalize_clauses = default_normalize ();
-    subsumption_engine = Dlearn_logic.Subsumption.default_engine ();
     trace = default_trace ();
     seed = 42;
   }

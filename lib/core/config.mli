@@ -48,26 +48,6 @@ type t = {
       (** domains used by the coverage engine's pool ([1] = the exact
           sequential path, no domains spawned); parallel and sequential
           runs return bitwise-identical results — see docs/PARALLELISM.md *)
-  incremental_coverage : bool;
-      (** reuse coverage verdicts across the ARMG climb (monotone
-          inheritance of the parent's covered positives), prune candidates
-          by score bound, and cache per-clause verdict bitsets across
-          seeds; [false] selects the from-scratch path. Both paths learn
-          the identical definition — see docs/COVERAGE.md *)
-  normalize_clauses : bool;
-      (** run every ARMG candidate through the [Clause_norm] pipeline
-          before scoring and key the cover cache on the normalized form
-          (alpha-variants and trivially-redundant variants share one
-          entry); the ground targets fed to [Subsumption.prepare] are
-          duplicate-stripped. [false] keys on the sort-only
-          [Clause.canonical]. Both settings learn the identical
-          definition — see docs/NORMALIZATION.md *)
-  subsumption_engine : Dlearn_logic.Subsumption.engine;
-      (** θ-subsumption search engine used by coverage testing: [`Csp]
-          (default) is the forward-checking kernel, [`Backtrack] the
-          reference backtracking search, [`Sat] the incremental CDCL
-          ground encoding. All learn the identical definition — see
-          docs/SUBSUMPTION.md *)
   trace : string option;
       (** when set, [Experiment.evaluate] records the run and writes a
           Chrome trace-event JSON (Perfetto-loadable) to this path;
@@ -78,18 +58,13 @@ type t = {
 (** [default ~target] — the paper's operating point: d = 3, km = 5,
     sample_size = 10, paper similarity at 0.6. [num_domains] defaults to
     [Domain.recommended_domain_count ()], overridable through the
-    [DLEARN_NUM_DOMAINS] environment variable; [incremental_coverage]
-    defaults to [true], overridable through [DLEARN_INCREMENTAL]
-    ([0]/[false]/[off]/[no] disable it); [normalize_clauses] defaults to
-    [true], overridable through [DLEARN_NORMALIZE] (same spellings
-    disable it); [subsumption_engine] defaults to
-    [`Csp], overridable through [DLEARN_SUBSUMPTION] ([backtrack]/[bt]/
-    [0]/[off] select the backtracking engine, [sat] the CDCL ground
-    encoding); [trace] defaults to the [DLEARN_TRACE] path when that
-    variable is set and non-empty, [None] otherwise. All environment
-    variables read at each call. Whether a parallel batch actually fans
-    out is no longer a config knob: the pool's adaptive cost model
-    decides per batch (see docs/PARALLELISM.md). *)
+    [DLEARN_NUM_DOMAINS] environment variable; [trace] defaults to the
+    [DLEARN_TRACE] path when that variable is set and non-empty, [None]
+    otherwise. Both variables are read at each call. Whether a parallel
+    batch actually fans out is no config knob: the pool's adaptive cost
+    model decides per batch (see docs/PARALLELISM.md). Coverage always
+    runs the one path docs/COVERAGE.md describes: normalized candidates,
+    the incremental cover cache, and the CSP subsumption kernel. *)
 val default : target:Dlearn_relation.Schema.t -> t
 
 val pp : Format.formatter -> t -> unit

@@ -140,10 +140,9 @@ let example_count t =
   Mutex.protect t.example_lock (fun () -> Hashtbl.length t.example_ids)
 
 (* The cache entry of a clause, created on first use. Callers must key on
-   the prepared record's canonical form — [Clause_norm.normalize] output
-   when [Config.normalize_clauses] is on (alpha-variants share an entry),
-   [Clause.canonical] otherwise; the entry's own lock guards its bitsets,
-   this lookup only guards the table. *)
+   the prepared record's normalized clause (alpha-variants share an
+   entry); the entry's own lock guards its bitsets, this lookup only
+   guards the table. *)
 let cover_entry t clause =
   Mutex.protect t.cover_lock (fun () ->
       match Cover_set.Clause_tbl.find_opt t.cover_cache clause with

@@ -34,8 +34,8 @@ type cover_stats = {
 (** Cumulative incremental-coverage counters, registered process-wide on
     the {!Dlearn_obs.Obs} registry under [coverage.*] (every context
     shares them; diff {!Dlearn_obs.Obs.value} around a run to attribute
-    it). Logged by the learner on [dlearn.learner]. Never bumped when
-    [Config.incremental_coverage] is off. *)
+    it). Logged by the learner on [dlearn.learner] at the end of every
+    run. *)
 
 type t = {
   config : Config.t;
@@ -124,8 +124,10 @@ val example_id : t -> Dlearn_relation.Tuple.t -> int
 val example_count : t -> int
 
 (** [cover_entry t clause] is the cover-cache entry of [clause], created
-    empty on first use. [clause] {b must} be in [Clause.canonical] form —
-    the cache identifies clauses up to body order and duplicates. *)
+    empty on first use. [clause] {b must} be normalized
+    ({!Dlearn_logic.Clause_norm.normalize}, as [Coverage.prepare] does) —
+    the cache identifies clauses up to alpha-renaming, body order and
+    duplicates. *)
 val cover_entry : t -> Dlearn_logic.Clause.t -> Cover_set.entry
 
 (** [armg_cached t e' ckey compute] memoizes one ARMG generalization

@@ -73,5 +73,6 @@ val invalidate : entry -> Bitset.t -> unit
     triggers; every other verdict survives. *)
 
 module Clause_tbl : Hashtbl.S with type key = Dlearn_logic.Clause.t
-(** Hashtable keyed on canonical clauses ([Clause.canonical] forms):
-    structural equality, {!Dlearn_logic.Clause.hash} over every literal. *)
+(** Hashtable keyed on canonical clauses (the cover cache keys on
+    [Clause_norm.normalize] output): structural equality,
+    {!Dlearn_logic.Clause.hash} over every literal. *)

@@ -12,8 +12,6 @@ type prepared = {
   skeleton : Clause.t Memo.t;
       (* head + schema atoms with every occurrence of a repairable term
          (subject or replacement of some repair literal) wildcarded *)
-  canon : Clause.t Memo.t;
-      (* the canonical form, key of the cross-seed cover cache *)
 }
 
 (* Repair enumeration at the configured caps. It is most of a cold
@@ -53,11 +51,12 @@ let skeleton_of (clause : Clause.t) =
   Clause.make ~head:(rewrite clause.Clause.head)
     (List.map rewrite (Clause.rel_body clause))
 
+(* Normalization is idempotent, so the normalized clause is its own
+   canonical form: the key of the cross-seed cover cache, under which
+   alpha-variants share one entry. *)
 let prepare ctx clause =
-  let normalize = ctx.Context.config.Config.normalize_clauses in
   let clause =
-    if normalize then Obs.span "learn.normalize" (fun () -> Clause_norm.normalize clause)
-    else clause
+    Obs.span "learn.normalize" (fun () -> Clause_norm.normalize clause)
   in
   {
     clause;
@@ -68,12 +67,6 @@ let prepare ctx clause =
       Memo.make (fun () ->
           enumerate ctx "clause" Clause_repair.repaired_clauses clause);
     skeleton = Memo.make (fun () -> skeleton_of clause);
-    canon =
-      (* [normalize] is idempotent, so the normalized clause is its own
-         canonical form — the cross-seed cache key that merges
-         alpha-variants. Off: the sort-only key, as before. *)
-      (if normalize then Memo.make (fun () -> clause)
-       else Memo.make (fun () -> Clause.canonical clause));
   }
 
 let has_cfd_repairs (c : Clause.t) =
@@ -106,16 +99,14 @@ let ground_cfd_apps ctx (entry : Context.ground_entry) =
    duplicate removal (their restriction literals are closure data, see
    Clause_norm.dedup_target); it shrinks the candidate tables
    Subsumption.prepare builds. *)
-let target_side (ctx : Context.t) c =
-  if ctx.Context.config.Config.normalize_clauses then Clause_norm.dedup_target c
-  else c
+let prepare_target c = Subsumption.prepare (Clause_norm.dedup_target c)
 
-let ground_target (ctx : Context.t) (entry : Context.ground_entry) =
+let ground_target (_ : Context.t) (entry : Context.ground_entry) =
   Mutex.protect entry.Context.lock (fun () ->
       match entry.Context.target with
       | Some t -> t
       | None ->
-          let t = Subsumption.prepare (target_side ctx entry.Context.ground) in
+          let t = prepare_target entry.Context.ground in
           entry.Context.target <- Some t;
           t)
 
@@ -146,7 +137,7 @@ let ground_repair_targets ctx (entry : Context.ground_entry) =
       | None ->
           let ts =
             List.map
-              (fun r -> Subsumption.prepare (target_side ctx r))
+              prepare_target
               (ground_repairs_unlocked ctx entry)
           in
           entry.Context.repair_targets <- Some ts;
@@ -155,7 +146,7 @@ let ground_repair_targets ctx (entry : Context.ground_entry) =
 (* Ge's relational part, with equality literals unioning every pair of
    terms some repair group might make identical — the over-approximation
    of all possible merges that the skeleton is matched against. *)
-let prefilter_target (ctx : Context.t) (entry : Context.ground_entry) =
+let prefilter_target (_ : Context.t) (entry : Context.ground_entry) =
   Mutex.protect entry.Context.lock (fun () ->
       match entry.Context.prefilter_target with
       | Some t -> t
@@ -172,25 +163,21 @@ let prefilter_target (ctx : Context.t) (entry : Context.ground_entry) =
           let target_clause =
             Clause.make ~head:ge.Clause.head (Clause.rel_body ge @ merge_eqs)
           in
-          let t = Subsumption.prepare (target_side ctx target_clause) in
+          let t = prepare_target target_clause in
           entry.Context.prefilter_target <- Some t;
           t)
 
-(* The engine is threaded explicitly from the config so the hot path
-   never re-reads DLEARN_SUBSUMPTION. *)
 let passes_prefilter ctx prepared entry =
   let budget = ctx.Context.config.Config.subsumption_budget in
-  let engine = ctx.Context.config.Config.subsumption_engine in
-  Subsumption.subsumes_target_bool ~engine ~budget ~repair_connectivity:false
+  Subsumption.subsumes_target_bool ~budget ~repair_connectivity:false
     (Memo.force prepared.skeleton)
     (prefilter_target ctx entry)
 
 let covers_positive ctx prepared e =
   let budget = ctx.Context.config.Config.subsumption_budget in
-  let engine = ctx.Context.config.Config.subsumption_engine in
   let entry = Bottom_clause.ground ctx e in
   if
-    Subsumption.subsumes_target_bool ~engine ~budget prepared.clause
+    Subsumption.subsumes_target_bool ~budget prepared.clause
       (ground_target ctx entry)
   then true
   else if not (passes_prefilter ctx prepared entry) then false
@@ -202,7 +189,7 @@ let covers_positive ctx prepared e =
          (fun cr ->
            List.exists
              (fun gr ->
-               Subsumption.subsumes_target_bool ~engine ~budget
+               Subsumption.subsumes_target_bool ~budget
                  ~repair_connectivity:false cr gr)
              grs)
          crs
@@ -210,7 +197,6 @@ let covers_positive ctx prepared e =
 
 let covers_negative ctx prepared e =
   let budget = ctx.Context.config.Config.subsumption_budget in
-  let engine = ctx.Context.config.Config.subsumption_engine in
   let entry = Bottom_clause.ground ctx e in
   if not (passes_prefilter ctx prepared entry) then false
   else
@@ -220,7 +206,7 @@ let covers_negative ctx prepared e =
     (fun cr ->
       List.exists
         (fun gr ->
-          Subsumption.subsumes_target_bool ~engine ~budget
+          Subsumption.subsumes_target_bool ~budget
             ~repair_connectivity:false cr gr)
         grs)
     crs
@@ -236,10 +222,9 @@ let covers_negative ctx prepared e =
    test pinning their equivalence. *)
 let covers_positive_cfd_split ?(prefilter = true) ctx prepared e =
   let budget = ctx.Context.config.Config.subsumption_budget in
-  let engine = ctx.Context.config.Config.subsumption_engine in
   let entry = Bottom_clause.ground ctx e in
   let ge = entry.Context.ground in
-  if Subsumption.subsumes_bool ~engine ~budget prepared.clause ge then true
+  if Subsumption.subsumes_bool ~budget prepared.clause ge then true
   else if prefilter && not (passes_prefilter ctx prepared entry) then false
   else if not (has_cfd_repairs prepared.clause || has_cfd_repairs ge) then
     false
@@ -250,7 +235,7 @@ let covers_positive_cfd_split ?(prefilter = true) ctx prepared e =
     && List.for_all
          (fun ca ->
            List.exists
-             (fun ga -> Subsumption.subsumes_bool ~engine ~budget ca ga)
+             (fun ga -> Subsumption.subsumes_bool ~budget ca ga)
              gas)
          cas
   end
@@ -292,7 +277,7 @@ let resolve ctx prepared ~negative ~assume tuples =
     @@ fun () ->
     begin
     let stats = ctx.Context.cover_stats in
-    let entry = Context.cover_entry ctx (Memo.force prepared.canon) in
+    let entry = Context.cover_entry ctx prepared.clause in
     let tested, covered =
       Mutex.protect entry.Cover_set.lock (fun () ->
           if negative then
@@ -359,8 +344,7 @@ let coverage_sets ctx prepared ~pos ~neg =
   (pc, nc)
 
 (* Counts with multiplicity: a universe may contain duplicate tuples, and
-   the from-scratch path counts each occurrence, so bitset cardinality is
-   not the count. *)
+   each occurrence counts, so bitset cardinality is not the count. *)
 let count_ids covered ids =
   List.fold_left (fun acc id -> if Bitset.mem covered id then acc + 1 else acc) 0 ids
 
@@ -388,7 +372,7 @@ let score_candidate ctx prepared ~assume ~pos ~neg ~bound =
   let stats = ctx.Context.cover_stats in
   let pids, pcov = resolve ctx prepared ~negative:false ~assume pos in
   let p = count_ids pcov pids in
-  let entry = Context.cover_entry ctx (Memo.force prepared.canon) in
+  let entry = Context.cover_entry ctx prepared.clause in
   let tested, covered =
     Mutex.protect entry.Cover_set.lock (fun () ->
         (entry.Cover_set.neg_tested, entry.Cover_set.neg_covered))
@@ -438,14 +422,6 @@ let score_candidate ctx prepared ~assume ~pos ~neg ~bound =
 
 let coverage ctx prepared ~pos ~neg =
   Obs.span "coverage.batch" @@ fun () ->
-  if ctx.Context.config.Config.incremental_coverage then begin
-    let pids, pc = resolve ctx prepared ~negative:false ~assume:Bitset.empty pos in
-    let nids, nc = resolve ctx prepared ~negative:true ~assume:Bitset.empty neg in
-    (count_ids pc pids, count_ids nc nids)
-  end
-  else begin
-    let count pred es = Pool.filter_count_list (Context.pool ctx) pred es in
-    let p = count (covers_positive ctx prepared) pos in
-    let n = count (covers_negative ctx prepared) neg in
-    (p, n)
-  end
+  let pids, pc = resolve ctx prepared ~negative:false ~assume:Bitset.empty pos in
+  let nids, nc = resolve ctx prepared ~negative:true ~assume:Bitset.empty neg in
+  (count_ids pc pids, count_ids nc nids)

@@ -25,6 +25,9 @@ module Bitset = Cover_set.Bitset
 
 type prepared = {
   clause : Dlearn_logic.Clause.t;
+      (** the normalized clause, also the key of the cross-seed cover
+          cache: normalization is idempotent, so the normalized clause is
+          its own canonical form and all alpha-variants share one entry *)
   cfd_apps : Dlearn_logic.Clause.t list Dlearn_parallel.Memo.t;
   repairs : Dlearn_logic.Clause.t list Dlearn_parallel.Memo.t;
   skeleton : Dlearn_logic.Clause.t Dlearn_parallel.Memo.t;
@@ -32,26 +35,23 @@ type prepared = {
           wildcarded — matched against the example's relational part modulo
           its potential merges as a necessary condition before any repair
           enumeration runs *)
-  canon : Dlearn_logic.Clause.t Dlearn_parallel.Memo.t;
-      (** the key of the cross-seed cover cache: the [clause] field itself
-          when [Config.normalize_clauses] is on (normalization is
-          idempotent, so the normalized clause is its own canonical form
-          and all alpha-variants share one entry), [Clause.canonical
-          clause] otherwise *)
 }
 
-(** [prepare ctx c] wraps [c] with memoized repair enumerations so that
-    scoring over many examples shares them; the memos are domain-safe.
-    With [Config.normalize_clauses] on, [c] is first rewritten by
-    {!Dlearn_logic.Clause_norm.normalize} (timed under the
-    [learn.normalize] span) — normalization preserves coverage, so every
-    verdict computed from the record is a verdict about [c]. *)
+(** [prepare ctx c] rewrites [c] by {!Dlearn_logic.Clause_norm.normalize}
+    (timed under the [learn.normalize] span) and wraps the result with
+    memoized repair enumerations so that scoring over many examples
+    shares them; the memos are domain-safe. Normalization preserves
+    coverage, so every verdict computed from the record is a verdict
+    about [c]. *)
 val prepare : Context.t -> Dlearn_logic.Clause.t -> prepared
 
 val covers_positive : Context.t -> prepared -> Dlearn_relation.Tuple.t -> bool
 
-(** [ground_target ctx entry] is the example's ground bottom clause
-    prepared for subsumption, cached in the entry (under its lock). *)
+(** [ground_target ctx entry] is the example's ground bottom clause,
+    stripped of exact duplicates ({!Dlearn_logic.Clause_norm.dedup_target})
+    and prepared for subsumption, cached in the entry (under its lock).
+    The targets of {!ground_repair_targets} and {!prefilter_target} are
+    stripped the same way. *)
 val ground_target :
   Context.t -> Context.ground_entry -> Dlearn_logic.Subsumption.target
 
@@ -95,10 +95,11 @@ val covers_negative_batch :
 
 (** [coverage ctx p ~pos ~neg] counts covered positives and negatives
     (each occurrence of a duplicate tuple counted), fanning out over the
-    context's domain pool. With [Config.incremental_coverage] on, verdicts
-    route through the context's cross-seed cover cache: known verdicts are
-    reused, the residue is computed with a chunked {!Dlearn_parallel.Pool.fill}
-    and merged back. Both paths return identical counts. *)
+    context's domain pool. Verdicts route through the context's cross-seed
+    cover cache: known verdicts are reused, the residue is computed with a
+    chunked {!Dlearn_parallel.Pool.fill} and merged back. The counts equal
+    those of running {!covers_positive} and {!covers_negative} on every
+    tuple. *)
 val coverage :
   Context.t ->
   prepared ->

@@ -35,16 +35,15 @@ let sample rng n l =
 (* Hill-climb: repeatedly generalise against sampled positives, keeping the
    best-scoring candidate, until the score stops improving (§4.2).
 
-   With [Config.incremental_coverage] on, the parent clause's covered
-   positives thread through the climb: ARMG only drops body literals, so a
-   candidate covers everything its parent covers and only the residue is
-   tested; the negative sweep stops early once a candidate provably cannot
-   reach the best score seen in the batch (see docs/COVERAGE.md — pruned
-   candidates can never beat or tie the batch winner, so the climb's
-   decisions are identical to the from-scratch path). *)
+   The parent clause's covered positives thread through the climb: ARMG
+   only drops body literals, so a candidate covers everything its parent
+   covers and only the residue is tested; the negative sweep stops early
+   once a candidate provably cannot reach the best score seen in the
+   batch (see docs/COVERAGE.md — pruned candidates can never beat or tie
+   the batch winner, so the climb's decisions are those of scoring every
+   candidate in full). *)
 let refine ctx ~uncovered ~neg clause =
   let config = ctx.Context.config in
-  let incremental = config.Config.incremental_coverage in
   (* Candidates are scored against a bounded sample of the negatives; the
      acceptance decision below re-scores the winner on the full set. *)
   let neg = sample ctx.Context.rng config.Config.climb_neg_cap neg in
@@ -69,18 +68,16 @@ let refine ctx ~uncovered ~neg clause =
       in
       (* Distinct sampled positives often yield the same generalisation;
          score each candidate once — dedup on the prepared record's
-         memoized canonical form instead of recomputing it. With
-         normalization on the key is the normalized clause, so whole
-         alpha-classes merge into one solve; the retained representative
-         is the member the full sort below would rank first (smallest
-         body, then arrival), carrying its own arrival index, so the
-         climb picks the same winner whether or not its class mates were
-         scored. *)
+         normalized clause, so whole alpha-classes merge into one solve.
+         The retained representative is the member the full sort below
+         would rank first (smallest body, then arrival), carrying its own
+         arrival index, so the climb picks the same winner whether or not
+         its class mates were scored. *)
       let dedup = Cover_set.Clause_tbl.create 16 in
       List.iteri
         (fun idx c ->
           let prep = Coverage.prepare ctx c in
-          let key = Dlearn_parallel.Memo.force prep.Coverage.canon in
+          let key = prep.Coverage.clause in
           match Cover_set.Clause_tbl.find_opt dedup key with
           | None -> Cover_set.Clause_tbl.add dedup key (c, prep, idx)
           | Some (c0, _, _) ->
@@ -101,15 +98,11 @@ let refine ctx ~uncovered ~neg clause =
         (fun () ->
           Dlearn_parallel.Pool.map_list (Context.pool ctx)
             (fun (c, prep, idx) ->
-              if incremental then
-                let cp, cn, cov, _complete =
-                  Coverage.score_candidate ctx prep ~assume:parent_cov
-                    ~pos:uncovered ~neg ~bound
-                in
-                (c, prep, idx, cov, (cp, cn))
-              else
-                let cov = Coverage.coverage ctx prep ~pos:uncovered ~neg in
-                (c, prep, idx, Coverage.Bitset.empty, cov))
+              let cp, cn, cov, _complete =
+                Coverage.score_candidate ctx prep ~assume:parent_cov
+                  ~pos:uncovered ~neg ~bound
+              in
+              (c, prep, idx, cov, (cp, cn)))
             candidates)
     in
     (* Higher score first; on ties the smaller clause — the more general
@@ -144,7 +137,7 @@ let refine ctx ~uncovered ~neg clause =
      essentially nothing else (Prop. 4.3); starting the climb from score
      (1, 0) avoids an expensive full sweep with the raw clause. The empty
      inherited set is the matching under-approximation: first-round
-     candidates test every positive, exactly like the from-scratch path. *)
+     candidates test every positive. *)
   Obs.span "learn.refine" (fun () ->
       climb clause prepared Coverage.Bitset.empty (1, 0))
 
@@ -196,38 +189,25 @@ let learn ctx ~pos ~neg =
           let clause, prepared, (p, _) =
             refine ctx ~uncovered ~neg bottom
           in
-          (* Re-score on the full negative set for the acceptance test; the
-             incremental path reuses the winner's climb-time verdicts on
-             the sampled negatives and only tests the rest. *)
-          let n =
-            if config.Config.incremental_coverage then
-              snd (Coverage.coverage ctx prepared ~pos:[] ~neg)
-            else
-              Dlearn_parallel.Pool.filter_count_list (Context.pool ctx)
-                (Coverage.covers_negative ctx prepared)
-                neg
-          in
+          (* Re-score on the full negative set for the acceptance test,
+             reusing the winner's climb-time verdicts on the sampled
+             negatives and testing only the rest. *)
+          let n = snd (Coverage.coverage ctx prepared ~pos:[] ~neg) in
           let precision =
             if p + n = 0 then 0.0 else float_of_int p /. float_of_int (p + n)
           in
           if p >= config.Config.min_pos && precision >= config.Config.min_precision
           then begin
+            (* The winner was scored over [uncovered] ⊇ [rest], so these
+               are almost all cache hits. *)
+            let pbits, _ =
+              Coverage.coverage_sets ctx prepared ~pos:rest ~neg:[]
+            in
             let still_uncovered =
-              if config.Config.incremental_coverage then begin
-                (* The winner was scored over [uncovered] ⊇ [rest], so
-                   these are almost all cache hits. *)
-                let pbits, _ =
-                  Coverage.coverage_sets ctx prepared ~pos:rest ~neg:[]
-                in
-                List.filter
-                  (fun e ->
-                    not (Coverage.Bitset.mem pbits (Context.example_id ctx e)))
-                  rest
-              end
-              else
-                Dlearn_parallel.Pool.filter_list (Context.pool ctx)
-                  (fun e -> not (Coverage.covers_positive ctx prepared e))
-                  rest
+              List.filter
+                (fun e ->
+                  not (Coverage.Bitset.mem pbits (Context.example_id ctx e)))
+                rest
             in
             Log.info (fun m ->
                 m "accepted clause covering %d+/%d- (%d uncovered left)" p n
@@ -257,29 +237,22 @@ let learn ctx ~pos ~neg =
         { clause = c; pos_covered = p; neg_covered = n })
       accepted
   in
-  if config.Config.incremental_coverage then begin
-    let cs = ctx.Context.cover_stats in
-    Log.info (fun m ->
-        m
-          "incremental coverage: %d verdicts tested, %d inherited from \
-           parents, %d cache hits, %d candidates pruned by score bound"
-          (Obs.value cs.Context.tested)
-          (Obs.value cs.Context.inherited)
-          (Obs.value cs.Context.cache_hits)
-          (Obs.value cs.Context.pruned))
-  end;
-  (match config.Config.subsumption_engine with
-  | `Csp -> Dlearn_logic.Subsumption.log_stats ()
-  | `Sat ->
-      let st : Dlearn_logic.Sat_subsumption.stats =
-        Dlearn_logic.Sat_subsumption.stats ()
-      in
-      Log.info (fun m ->
-          m
-            "sat subsumption: %d solves, %d conflicts, %d learned clauses, \
-             %d reused-clause hits"
-            st.solves st.conflicts st.learned st.reused_clause_hits)
-  | `Backtrack -> ());
+  let cs = ctx.Context.cover_stats in
+  Log.info (fun m ->
+      m
+        "incremental coverage: %d verdicts tested, %d inherited from \
+         parents, %d cache hits, %d candidates pruned by score bound"
+        (Obs.value cs.Context.tested)
+        (Obs.value cs.Context.inherited)
+        (Obs.value cs.Context.cache_hits)
+        (Obs.value cs.Context.pruned));
+  Subsumption.log_stats ();
+  let st = Sat_subsumption.stats () in
+  Log.info (fun m ->
+      m
+        "sat rescue: %d solves, %d conflicts, %d learned clauses, %d \
+         reused-clause hits"
+        st.solves st.conflicts st.learned st.reused_clause_hits);
   {
     definition;
     stats;

@@ -91,15 +91,6 @@ let with_depth w depth = with_config w (fun c -> { c with Config.depth })
 let with_jobs w jobs =
   with_config w (fun c -> { c with Config.num_domains = max 1 jobs })
 
-let with_incremental w incremental =
-  with_config w (fun c -> { c with Config.incremental_coverage = incremental })
-
-let with_subsumption w engine =
-  with_config w (fun c -> { c with Config.subsumption_engine = engine })
-
-let with_normalize w normalize =
-  with_config w (fun c -> { c with Config.normalize_clauses = normalize })
-
 let with_trace w trace = with_config w (fun c -> { c with Config.trace })
 
 let with_sample_size w sample_size =

@@ -29,22 +29,6 @@ val with_depth : Workload.t -> int -> Workload.t
     fan-out (clamped to at least 1; 1 = sequential). *)
 val with_jobs : Workload.t -> int -> Workload.t
 
-(** [with_incremental w b] enables/disables the incremental coverage
-    engine ([Config.incremental_coverage]); both settings learn the
-    identical definition — see docs/COVERAGE.md. *)
-val with_incremental : Workload.t -> bool -> Workload.t
-
-(** [with_subsumption w e] selects the θ-subsumption search engine
-    ([Config.subsumption_engine]); both engines learn the identical
-    definition — see docs/SUBSUMPTION.md. *)
-val with_subsumption :
-  Workload.t -> Dlearn_logic.Subsumption.engine -> Workload.t
-
-(** [with_normalize w b] enables/disables the clause-normalization
-    pipeline ([Config.normalize_clauses]); both settings learn the
-    identical definition — see docs/NORMALIZATION.md. *)
-val with_normalize : Workload.t -> bool -> Workload.t
-
 (** [with_trace w (Some path)] makes {!evaluate} record the run and write
     a Chrome trace-event JSON (Perfetto-loadable) to [path] when it
     finishes; [None] disables tracing. Tracing never changes what is

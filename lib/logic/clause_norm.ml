@@ -60,7 +60,7 @@ let deep_vars l =
   |> List.sort_uniq String.compare
 
 (* Variables bound by matching a generative literal: head and schema-atom
-   arguments, and repair subjects/replacements (the engines unify exactly
+   arguments, and repair subjects/replacements (the searches unify exactly
    those against the target; a variable occurring only in restriction
    literals or repair conditions is never bound by the search). *)
 let generative_vars (c : Clause.t) =
@@ -98,7 +98,7 @@ let is_protected protected l = List.exists (Literal.equal l) protected
 (* ------------------------------------------------------------------ *)
 (* Pass 3: duplicate-literal and tautology elimination, mirroring the
    DL105/DL106 lints as rewrites — restricted to what the subsumption
-   engines make sound:
+   searches make sound:
 
    - [Eq (t, t)] is always satisfied: Clause_env.eq is reflexive and
      resolve_checks binds an unbound variable's class consistently, so
@@ -107,7 +107,7 @@ let is_protected protected l = List.exists (Literal.equal l) protected
      both sides are ground; a variable the search never binds must
      instead match an explicit similarity literal of the target. Dropped
      only when [t] is a constant or a generatively-bound variable.
-   - [Neq (t, t)] can never be satisfied (both engines resolve the two
+   - [Neq (t, t)] can never be satisfied (every search resolves the two
      sides identically), and [map_terms] preserves the shape, so every
      repaired clause keeps a failing check: the clause covers nothing.
      The whole clause canonicalizes to the shared trivially-false form.

@@ -14,7 +14,7 @@
       recorded drops);
     + {b duplicate-literal and tautology elimination}, mirroring the
       DL105/DL106 lints as rewrites, restricted to verdicts the
-      subsumption engines make static: [x = x] is dropped, [x ≈ x] is
+      subsumption search makes static: [x = x] is dropped, [x ≈ x] is
       dropped when the variable is generatively bound, [x ≠ x] rewrites
       the clause to a shared trivially-false form, trivially-true repair
       condition atoms are deleted;
@@ -30,8 +30,8 @@
     {b Cache-key contract}: [normalize] is idempotent and invariant under
     alpha-renaming and body reordering (up to the individualization
     budget, see [normalize.rename_fallbacks]), and preserves coverage —
-    [Coverage] uses the normalized clause directly as the cover-cache key
-    in {!module:Context} when [Config.normalize_clauses] is on.
+    [Coverage.prepare] normalizes every clause it scores and uses the
+    normalized clause directly as the cover-cache key in [Context].
 
     Counters: [normalize.clauses], [normalize.rounds],
     [normalize.duplicates], [normalize.tautologies],
@@ -62,7 +62,8 @@ val rewrite_to_string : rewrite -> string
 
 (** [normalize c] is the canonical representative of [c]: simplification
     passes to fixpoint, then canonical renaming and ordering. Idempotent;
-    preserves the clause's coverage under every subsumption engine. *)
+    preserves the clause's coverage (checked against a from-scratch
+    reference on the raw clause by the normalization tests). *)
 val normalize : Clause.t -> Clause.t
 
 (** The rewrites {!normalize}'s simplification passes would apply to [c],

@@ -1,6 +1,6 @@
 (** A small incremental CDCL SAT core (pure OCaml).
 
-    The solver the [`Sat] θ-subsumption engine instantiates its ground
+    The solver the SAT θ-subsumption rescue instantiates its ground
     encoding into: two-watched-literal unit propagation, first-UIP
     conflict analysis with backjumping, Luby restarts, and incremental
     solving under assumptions — clauses learned in one [solve] call stay

@@ -43,18 +43,6 @@ let reset_stats () =
       Stats.restarts; Stats.reused; Stats.encode_ns; Stats.solve_ns;
     ]
 
-(* DLEARN_SAT_REUSE=off/0/false rebuilds the solver per solve instead of
-   sharing it across the ARMG chain. Verdicts are identical either way
-   (pinned by test); the flag exists to measure the reuse win and as a
-   rollout escape hatch. *)
-let reuse_enabled () =
-  match Sys.getenv_opt "DLEARN_SAT_REUSE" with
-  | Some s -> (
-      match String.lowercase_ascii (String.trim s) with
-      | "off" | "0" | "false" | "no" -> false
-      | _ -> true)
-  | None -> true
-
 (* One registered body literal: its assumption variable plus what the
    model checker needs to interpret a solution. *)
 type shape =
@@ -110,7 +98,7 @@ let fresh_state (c : Clause.t) =
   }
 
 (* Head unification seeds the fixed (var -> term id) bindings, exactly
-   as the other engines do: repeated variables need the same interned
+   as the CSP kernel does: repeated variables need the same interned
    id, constants compare through the env's equality closure. *)
 let head_binding view (c : Clause.t) =
   match (c.head, view.d_literals.(0)) with
@@ -415,7 +403,7 @@ let register view st head_tbl spend (l : Literal.t) =
 
 (* Model interpretation: θ from the selected candidates of the asserted
    literals (plus the head seeds) — binding variables are auxiliary and
-   never enter the witness, mirroring the reference engines where θ
+   never enter the witness, mirroring the other searches where θ
    holds exactly the search's bindings. Returns the substitution, the
    raw (var -> term id) table behind it, and the per-literal selection. *)
 let extract view st head_tbl actives =
@@ -515,17 +503,14 @@ let subsumes ?(budget = 200_000) ?(repair_connectivity = true) (view : view)
   match head_binding view c with
   | None -> `Not_subsumed
   | Some head_tbl ->
-      let reuse = reuse_enabled () in
       let run () =
         let st =
-          if not reuse then fresh_state c
-          else
-            match view.cache.st with
-            | Some st when st.head = c.head -> st
-            | _ ->
-                let st = fresh_state c in
-                view.cache.st <- Some st;
-                st
+          match view.cache.st with
+          | Some st when st.head = c.head -> st
+          | _ ->
+              let st = fresh_state c in
+              view.cache.st <- Some st;
+              st
         in
         let solver = st.solver in
         let s0 = Sat_core.stats solver in
@@ -752,12 +737,7 @@ let subsumes ?(budget = 200_000) ?(repair_connectivity = true) (view : view)
           (int_of_float ((Unix.gettimeofday () -. t_solve) *. 1e9));
         outcome
       in
-      if reuse then begin
-        Mutex.lock view.cache.lock;
-        Fun.protect
-          ~finally:(fun () -> Mutex.unlock view.cache.lock)
-          (fun () -> try run () with Exhausted -> `Budget_exhausted)
-      end
-      else begin
-        try run () with Exhausted -> `Budget_exhausted
-      end
+      Mutex.lock view.cache.lock;
+      Fun.protect
+        ~finally:(fun () -> Mutex.unlock view.cache.lock)
+        (fun () -> try run () with Exhausted -> `Budget_exhausted)

@@ -1,5 +1,7 @@
-(** The [`Sat] θ-subsumption engine: ground instantiation into an
-    incremental CDCL solver ({!Sat_core}).
+(** The SAT rescue of θ-subsumption: ground instantiation into an
+    incremental CDCL solver ({!Sat_core}). The CSP kernel of
+    {!Subsumption} hands it the instances whose first witness fails the
+    repair-connectivity condition.
 
     A candidate clause C is flattened against a prepared bottom clause D
     as a boolean matching problem: one {e selector} variable per
@@ -19,9 +21,9 @@
     solve assumes exactly the current candidate's literal set. Conflict
     clauses learned refuting one candidate stay in the database and
     prune every later candidate that shares literals (counted by
-    [sat.reused_clause_hits]). Set [DLEARN_SAT_REUSE=off] to rebuild the
-    solver per solve instead — verdicts are identical either way
-    (pinned by test). See [docs/SUBSUMPTION.md]. *)
+    [sat.reused_clause_hits]). A candidate solved on a freshly prepared
+    target gets the same verdict (pinned by test). See
+    [docs/SUBSUMPTION.md]. *)
 
 (** A target clause D as the encoder needs it — the fields of
     [Subsumption]'s prepared target plus closures over its private

@@ -8,40 +8,6 @@ type outcome =
   | Not_subsumed
   | Budget_exhausted
 
-type engine = [ `Csp | `Backtrack | `Sat ]
-
-(* DLEARN_SUBSUMPTION=backtrack (or bt/0/off) pins the reference
-   backtracking engine, =sat the ground-instantiation SAT engine;
-   anything else — including unset — selects the CSP kernel. Read at
-   each call, like the other rollout variables, so test matrices can
-   flip it without plumbing a flag. *)
-let default_engine () : engine =
-  match Sys.getenv_opt "DLEARN_SUBSUMPTION" with
-  | Some s -> (
-      match String.lowercase_ascii (String.trim s) with
-      | "backtrack" | "bt" | "0" | "off" -> `Backtrack
-      | "sat" -> `Sat
-      | _ -> `Csp)
-  | None -> `Csp
-
-let engine_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "csp" -> Some `Csp
-  | "backtrack" | "bt" -> Some `Backtrack
-  | "sat" -> Some `Sat
-  | _ -> None
-
-let engine_name = function
-  | `Csp -> "csp"
-  | `Backtrack -> "backtrack"
-  | `Sat -> "sat"
-
-(* The one source of truth for every engine-selection surface (CLI enum,
-   help text, env parsing above, CI matrices): name in canonical
-   spelling, paired with its variant. *)
-let all_engines : (string * engine) list =
-  [ ("csp", `Csp); ("backtrack", `Backtrack); ("sat", `Sat) ]
-
 exception Exhausted
 
 module IntSet = Set.Make (Int)
@@ -64,7 +30,7 @@ type target = {
          repairs) as term ids — the kernel matches on these ints and never
          re-reads the literals *)
   sat_cache : Sat_subsumption.cache;
-      (* the [`Sat] engine's per-target incremental solver, shared by
+      (* the per-target incremental solver of the SAT rescue, shared by
          every candidate of the ARMG chain tested against this target *)
 }
 
@@ -398,19 +364,16 @@ let check_repair_connectivity target image =
     !mapped_non_repair
 
 (* Exhaustive chronological search with the repair-connectivity
-   condition enforced at every complete assignment — the naive engine's
-   search, shared with [`Backtrack] as its completeness fallback.
-   The decomposed engines commit each independent fragment's first
-   solution, which is complete for plain satisfiability but not under
-   the global connectivity condition: a rejected image might have been
-   fixed by a different solution of an already-committed sibling
-   fragment. Rather than couple the fragments, a decomposed engine
-   whose witness fails the condition re-decides the instance with a
-   search that backtracks *through* the check instead of post-filtering
-   its first witness: [`Backtrack] re-runs this one (self-contained, so
-   the reference engine owes nothing to the solver), while [`Csp]
-   delegates to the SAT engine, which is much faster on the
-   repair-heavy instances that land here.
+   condition enforced at every complete assignment — the search of the
+   [subsumes_naive] oracle. It backtracks *through* the check instead of
+   post-filtering a first witness, which is what completeness under the
+   global connectivity condition needs. The CSP kernel commits each
+   independent fragment's first solution instead, complete for plain
+   satisfiability but not under that condition (a rejected image might
+   have been fixed by a different solution of an already-committed
+   sibling fragment); it hands those instances to the SAT rescue, which
+   decides them much faster than this search, and the differential tests
+   check both against this one.
 
    Body order is kept as-is: C's relational literals carry the join
    variables, so they prune hardest; hoisting the repair literals to the
@@ -510,12 +473,12 @@ let search_exhaustive target budget ~repair_connectivity (c : Clause.t) theta0 =
   in
   search 0 gens theta0 head_required IntSet.empty IntSet.empty
 
-(* The [`Sat] engine lives in {!Sat_subsumption}, which depends only on
+(* The SAT rescue lives in {!Sat_subsumption}, which depends only on
    the term/clause layer; it sees the prepared target through this view
    — the raw index fields plus closures over the private finish logic,
-   so both engines share [resolve_checks] and the connectivity sets.
-   Defined here, before the decomposed engines, because they delegate
-   their completeness fallback to it (see [subsumes_target_csp]). *)
+   so both searches share [resolve_checks] and the connectivity sets.
+   Defined here, before the CSP kernel, because the kernel delegates its
+   completeness fallback to it (see [subsumes_target]). *)
 let sat_view (t : target) : Sat_subsumption.view =
   {
     Sat_subsumption.d_literals = t.d_literals;
@@ -628,7 +591,7 @@ type csp_lit = {
 exception Reject
 exception Dead
 
-let subsumes_target_csp ?(budget = 200_000) ?(repair_connectivity = true)
+let subsumes_target ?(budget = 200_000) ?(repair_connectivity = true)
     (c : Clause.t) (target : target) =
   let t0 = Unix.gettimeofday () in
   let nodes = ref 0 and props = ref 0 and wipes = ref 0 in
@@ -810,15 +773,15 @@ let subsumes_target_csp ?(budget = 200_000) ?(repair_connectivity = true)
                 target.sim_ids
             in
             (* The environment pseudo-candidate. Decidable at setup (both
-               sides resolved): enumerate it first, like the reference
-               engines — its empty image also biases the first witness
+               sides resolved): enumerate it first, like [candidates]
+               does — its empty image also biases the first witness
                toward passing the connectivity check, sparing the strict
                re-search. Undecidable: it becomes a
                *deferred* branch, validated by forward checking as its
                sides bind and at the end of the component; it goes last
                so the constraining D-literal candidates (which bind the
-               unbound side) are explored first — the reference engine
-               has no environment branch at all for an unresolved
+               unbound side) are explored first — [candidates] offers
+               no environment branch at all for an unresolved
                similarity at its decision point. *)
             let env_cand = { d_id = -1; binds = [||] } in
             (match (resolve_term x, resolve_term y) with
@@ -868,7 +831,7 @@ let subsumes_target_csp ?(budget = 200_000) ?(repair_connectivity = true)
         let lits = Array.map Option.get lits in
         (* --- checks: decide the ground ones now, watch the rest ---
            An image that is itself a variable of D stays [`Unknown]: the
-           reference engine likewise leaves those to the union-find
+           naive search likewise leaves those to the union-find
            resolution of [resolve_checks]. *)
         let eval_check l =
           match l with
@@ -1132,13 +1095,12 @@ let subsumes_target_csp ?(budget = 200_000) ?(repair_connectivity = true)
           in
           (* --- dynamic component decomposition ---
              Re-split the remaining work by shared *unbound* variables
-             after every assignment, exactly like the reference engine:
-             once the atoms ground the join variables, the similarity
-             and repair web falls apart into small independent
-             fragments, and a failure in one fragment can never be
-             repaired by backtracking into another. Items are the
-             unassigned generative literals, the still-pending checks,
-             and the environment-deferred similarities awaiting
+             after every assignment: once the atoms ground the join
+             variables, the similarity and repair web falls apart into
+             small independent fragments, and a failure in one fragment
+             can never be repaired by backtracking into another. Items
+             are the unassigned generative literals, the still-pending
+             checks, and the environment-deferred similarities awaiting
              resolution of an unbound side. *)
           let var_item = Array.make (max nvars 1) (-1) in
           let var_stamp = Array.make (max nvars 1) 0 in
@@ -1251,7 +1213,7 @@ let subsumes_target_csp ?(budget = 200_000) ?(repair_connectivity = true)
                branch still deferred is unsatisfiable — sides left
                unresolved here can only be bound by resolve_checks'
                fresh constants, which never satisfy a similarity —
-               matching the engines' shared semantics. *)
+               matching the naive search's semantics. *)
             List.for_all (fun j -> eval_deferred j = `Sat) cdefers
             &&
             let pending =
@@ -1323,7 +1285,7 @@ let subsumes_target_csp ?(budget = 200_000) ?(repair_connectivity = true)
                   else try_from (k + 1) skip
                 in
                 (* Dynamic candidate order for the deferred environment
-                   branch: the reference engine computes candidates at
+                   branch: the naive search computes candidates at
                    selection time, where a similarity whose sides are
                    already bound takes the environment branch first (or
                    rules it out). Mirror that here — the static table
@@ -1358,14 +1320,12 @@ let subsumes_target_csp ?(budget = 200_000) ?(repair_connectivity = true)
             then
               (* The first witness's image is rejected; completeness
                  needs a search that backtracks *through* the
-                 connectivity condition. Delegated to the SAT engine:
+                 connectivity condition. Delegated to the SAT rescue:
                  its connectivity clauses decide these instances orders
-                 of magnitude faster than an exhaustive re-search (the
-                 per-target solver is shared, so encodings and learned
-                 clauses amortize across an ARMG chain that keeps
-                 landing here), while [`Backtrack] keeps the
-                 self-contained [search_exhaustive] re-search so the
-                 reference engine stays independent of the solver. *)
+                 of magnitude faster than the exhaustive re-search of
+                 [search_exhaustive] (the per-target solver is shared,
+                 so encodings and learned clauses amortize across an
+                 ARMG chain that keeps landing here). *)
               record
                 (subsumes_target_sat ~budget:(max 1 !budget)
                    ~repair_connectivity:true c target)
@@ -1378,219 +1338,10 @@ let subsumes_target_csp ?(budget = 200_000) ?(repair_connectivity = true)
       record Budget_exhausted
   end
 
-(* ------------------------------------------------------------------ *)
-(* Backtracking engine: dynamic component decomposition over persistent
-   substitutions. Kept as the rollout fallback and the bench baseline.   *)
+let subsumes ?budget ?repair_connectivity c d =
+  subsumes_target ?budget ?repair_connectivity c (prepare d)
 
-(* Split literals into connected components of the graph whose edges are
-   shared unbound variables. Components are independent subproblems: a
-   failed assignment in one can never be fixed by backtracking into
-   another, which is what makes matching 100-literal bottom clauses
-   tractable. *)
-let components theta literals =
-  let unbound l =
-    List.filter (fun v -> not (Substitution.mem theta v)) (Literal.vars l)
-  in
-  let items = List.map (fun l -> (l, unbound l)) literals in
-  let by_var : (string, int list ref) Hashtbl.t = Hashtbl.create 32 in
-  List.iteri
-    (fun i (_, vars) ->
-      List.iter
-        (fun v ->
-          match Hashtbl.find_opt by_var v with
-          | Some ids -> ids := i :: !ids
-          | None -> Hashtbl.add by_var v (ref [ i ]))
-        vars)
-    items;
-  let n = List.length items in
-  let arr = Array.of_list items in
-  let comp = Array.make n (-1) in
-  let rec mark i c =
-    if comp.(i) = -1 then begin
-      comp.(i) <- c;
-      List.iter
-        (fun v ->
-          match Hashtbl.find_opt by_var v with
-          | Some ids -> List.iter (fun j -> mark j c) !ids
-          | None -> ())
-        (snd arr.(i))
-    end
-  in
-  let next = ref 0 in
-  for i = 0 to n - 1 do
-    if comp.(i) = -1 then begin
-      mark i !next;
-      incr next
-    end
-  done;
-  List.init !next (fun c ->
-      List.filteri (fun i _ -> comp.(i) = c) (List.map fst items))
-
-(* Remove exactly one occurrence of [x] (by physical equality): a body may
-   contain the same literal object twice, and dropping every shared
-   occurrence would silently skip the duplicates' expansions. *)
-let remove_one_phys x l =
-  let rec go = function
-    | [] -> []
-    | y :: rest -> if y == x then rest else y :: go rest
-  in
-  go l
-
-let subsumes_target_backtrack ?(budget = 200_000) ?(repair_connectivity = true)
-    (c : Clause.t) (target : target) =
-  let budget = ref budget in
-  let head_theta =
-    match c.head, target.d_literals.(0) with
-    | Literal.Rel { pred = p1; args = a1 }, Literal.Rel { pred = p2; args = a2 }
-      when String.equal p1 p2 ->
-        unify_args target.env Substitution.empty a1 a2
-    | _ -> None
-  in
-  match head_theta with
-  | None -> Not_subsumed
-  | Some theta0 -> (
-      let eval_check theta l =
-        match l with
-        | Literal.Eq (x, y) -> (
-            match
-              ( Substitution.apply_term theta x,
-                Substitution.apply_term theta y )
-            with
-            | (Term.Var _, _ | _, Term.Var _) -> `Unknown
-            | tx, ty ->
-                if Clause_env.eq target.env tx ty then `Sat else `Unsat)
-        | Literal.Neq (x, y) -> (
-            match
-              ( Substitution.apply_term theta x,
-                Substitution.apply_term theta y )
-            with
-            | (Term.Var _, _ | _, Term.Var _) -> `Unknown
-            | tx, ty ->
-                if Clause_env.neq target.env tx ty then `Sat else `Unsat)
-        | _ -> `Unknown
-      in
-      (* Solve one component: pick the generative literal with the fewest
-         unbound variables, branch over its candidate extensions, recurse
-         (the recursion re-splits into components). Returns the extended
-         substitution and image, or None. *)
-      let unbound_count theta l =
-        List.length
-          (List.filter
-             (fun v -> not (Substitution.mem theta v))
-             (Literal.vars l))
-      in
-      let rec solve remaining theta image =
-        (* Drop satisfied checks; fail on violated ones. *)
-        let rec filter_checks acc = function
-          | [] -> Some (List.rev acc)
-          | l :: rest when is_check l -> (
-              match eval_check theta l with
-              | `Sat -> filter_checks acc rest
-              | `Unsat -> None
-              | `Unknown -> filter_checks (l :: acc) rest)
-          | l :: rest -> filter_checks (l :: acc) rest
-        in
-        match filter_checks [] remaining with
-        | None -> None
-        | Some [] -> Some (theta, image)
-        | Some remaining -> (
-            match components theta remaining with
-            | [] -> Some (theta, image)
-            | [ component ] -> solve_component component theta image
-            | comps ->
-                (* Independent subproblems: thread θ and image through. *)
-                let rec fold theta image = function
-                  | [] -> Some (theta, image)
-                  | comp :: rest -> (
-                      match solve comp theta image with
-                      | None -> None
-                      | Some (theta', image') -> fold theta' image' rest)
-                in
-                fold theta image
-                  (List.stable_sort
-                     (fun a b ->
-                       Int.compare (List.length a) (List.length b))
-                     comps))
-      and solve_component component theta image =
-        let gens = List.filter (fun l -> not (is_check l)) component in
-        match gens with
-        | [] ->
-            (* Only restriction literals with unbound variables remain:
-               resolve them with the union-find / fresh-constant scheme. *)
-            if resolve_checks target theta component then Some (theta, image)
-            else None
-        | _ ->
-            (* Schema and repair atoms generate bindings; similarity
-               literals are satisfiable through the environment's closure
-               once their sides are bound, so they are only selected when
-               no atom remains -- picking one early with an unbound side
-               dead-ends whenever D has no explicit similarity literal. *)
-            let pool =
-              match
-                List.filter
-                  (function
-                    | Literal.Rel _ | Literal.Repair _ -> true
-                    | _ -> false)
-                  gens
-              with
-              | [] -> gens
-              | atoms -> atoms
-            in
-            let next, _ =
-              List.fold_left
-                (fun (best, best_score) l ->
-                  let score = unbound_count theta l in
-                  if score < best_score then (l, score) else (best, best_score))
-                (List.hd pool, unbound_count theta (List.hd pool))
-                (List.tl pool)
-            in
-            let rest = remove_one_phys next component in
-            let rec try_candidates = function
-              | [] -> None
-              | (theta', id_opt) :: more -> (
-                  let image' =
-                    match id_opt with
-                    | Some id -> IntSet.add id image
-                    | None -> image
-                  in
-                  match solve rest theta' image' with
-                  | Some _ as ok -> ok
-                  | None -> try_candidates more)
-            in
-            try_candidates (candidates target budget theta next)
-      in
-      try
-        match solve c.body theta0 IntSet.empty with
-        | Some (theta, image) ->
-            if
-              repair_connectivity
-              && not (check_repair_connectivity target image)
-            then (
-              (* first witness rejected — see [search_exhaustive] *)
-              match
-                search_exhaustive target budget ~repair_connectivity:true c
-                  theta0
-              with
-              | Some theta -> Subsumed theta
-              | None -> Not_subsumed)
-            else Subsumed theta
-        | None -> Not_subsumed
-      with Exhausted -> Budget_exhausted)
-
-let subsumes_target ?engine ?budget ?repair_connectivity (c : Clause.t)
-    (target : target) =
-  let engine =
-    match engine with Some e -> e | None -> default_engine ()
-  in
-  match engine with
-  | `Csp -> subsumes_target_csp ?budget ?repair_connectivity c target
-  | `Backtrack -> subsumes_target_backtrack ?budget ?repair_connectivity c target
-  | `Sat -> subsumes_target_sat ?budget ?repair_connectivity c target
-
-let subsumes ?engine ?budget ?repair_connectivity c d =
-  subsumes_target ?engine ?budget ?repair_connectivity c (prepare d)
-
-(* Reference engine: chronological backtracking in body order. *)
+(* Test oracle: chronological backtracking in body order. *)
 let subsumes_naive ?(budget = 200_000) ?(repair_connectivity = true)
     (c : Clause.t) (d : Clause.t) =
   let target = prepare d in
@@ -1615,24 +1366,24 @@ let report_exhausted c =
   Log.warn (fun m ->
       m "subsumption budget exhausted for %s-clause" (Clause.head_pred c))
 
-let subsumes_target_bool ?engine ?budget ?repair_connectivity c t =
-  match subsumes_target ?engine ?budget ?repair_connectivity c t with
+let subsumes_target_bool ?budget ?repair_connectivity c t =
+  match subsumes_target ?budget ?repair_connectivity c t with
   | Subsumed _ -> true
   | Not_subsumed -> false
   | Budget_exhausted ->
       report_exhausted c;
       false
 
-let subsumes_bool ?engine ?budget ?repair_connectivity c d =
-  match subsumes ?engine ?budget ?repair_connectivity c d with
+let subsumes_bool ?budget ?repair_connectivity c d =
+  match subsumes ?budget ?repair_connectivity c d with
   | Subsumed _ -> true
   | Not_subsumed -> false
   | Budget_exhausted ->
       report_exhausted c;
       false
 
-let equivalent ?engine ?budget c d =
-  subsumes_bool ?engine ?budget c d && subsumes_bool ?engine ?budget d c
+let equivalent ?budget c d =
+  subsumes_bool ?budget c d && subsumes_bool ?budget d c
 
 module Armg = struct
   let head_unify target head =

@@ -13,51 +13,26 @@
     [Neq] when their classes differ. This mirrors the "additional testings"
     for clauses with equality and similarity the paper references (§4.2).
 
-    Three search engines decide the relation (see [docs/SUBSUMPTION.md]):
+    One search decides the relation (see [docs/SUBSUMPTION.md]): a
+    CSP-style matching kernel. Setup interns C's variables and D's terms
+    to dense ints and precomputes per generative literal its candidate
+    table; search runs over a mutable binding array with an undo trail,
+    forward-checks the candidate domains of connected literals on each
+    assignment, and selects literals by minimum remaining domain within
+    dynamically recomputed connected components. When the first witness
+    fails the repair-connectivity condition, the kernel hands the
+    instance to {!Sat_subsumption}, a ground instantiation into an
+    incremental CDCL solver reused across the ARMG chain, whose search
+    backtracks through that condition.
 
-    - [`Csp] (default): a CSP-style matching kernel. Setup interns C's
-      variables and D's terms to dense ints and precomputes per generative
-      literal its candidate table; search runs over a mutable binding
-      array with an undo trail, forward-checks the candidate domains of
-      connected literals on each assignment, and selects literals by
-      minimum remaining domain within statically computed connected
-      components.
-    - [`Backtrack]: the original backtracking search over persistent
-      substitutions with dynamic component decomposition and
-      most-constrained-literal selection — kept as the rollout fallback
-      and bench baseline.
-    - [`Sat]: ground instantiation into an incremental CDCL solver
-      ({!Sat_core}/{!Sat_subsumption}) — selector variables per
-      (literal, candidate) pairing, the solver reused across the ARMG
-      chain via per-literal assumption variables so conflict clauses
-      learned refuting one candidate prune every later one.
-
-    All are bounded by a step budget for pathological inputs and decide
-    the same relation (property-tested against each other and against
-    {!subsumes_naive}). *)
+    The search is bounded by a step budget for pathological inputs and
+    is property-tested against the SAT rescue alone and against
+    {!subsumes_naive}. *)
 
 type outcome =
   | Subsumed of Substitution.t
   | Not_subsumed
   | Budget_exhausted
-
-(** Search engine selection. *)
-type engine = [ `Csp | `Backtrack | `Sat ]
-
-(** [default_engine ()] reads [DLEARN_SUBSUMPTION] ([backtrack]/[bt]/[0]/
-    [off] select [`Backtrack], [sat] selects [`Sat]; anything else,
-    including unset, selects [`Csp]). Read per call so a test matrix can
-    flip it. *)
-val default_engine : unit -> engine
-
-val engine_of_string : string -> engine option
-
-val engine_name : engine -> string
-
-(** Every engine with its canonical name — the single source of truth
-    the CLI enum and help text render from, so the surfaces cannot
-    drift. *)
-val all_engines : (string * engine) list
 
 (** A target clause D preprocessed for matching: literal indexes by
     predicate and origin, the restriction-literal closure, and the repair
@@ -67,11 +42,9 @@ type target
 
 val prepare : Clause.t -> target
 
-(** [subsumes_target ?engine ?budget ?repair_connectivity c t] decides
-    [c ⊆θ D] against a prepared target. [engine] defaults to
-    {!default_engine}[ ()]. *)
+(** [subsumes_target ?budget ?repair_connectivity c t] decides
+    [c ⊆θ D] against a prepared target. *)
 val subsumes_target :
-  ?engine:engine ->
   ?budget:int ->
   ?repair_connectivity:bool ->
   Clause.t ->
@@ -79,20 +52,18 @@ val subsumes_target :
   outcome
 
 val subsumes_target_bool :
-  ?engine:engine ->
   ?budget:int ->
   ?repair_connectivity:bool ->
   Clause.t ->
   target ->
   bool
 
-(** [subsumes ?engine ?budget ?repair_connectivity c d] decides [c ⊆θ d].
+(** [subsumes ?budget ?repair_connectivity c d] decides [c ⊆θ d].
     [budget] (default 200_000) bounds unification attempts.
     [repair_connectivity] (default [true]) enables Definition 4.4's second
     condition; the repair-application machinery disables it when comparing
     fully repaired (repair-free) clauses, where it is vacuous anyway. *)
 val subsumes :
-  ?engine:engine ->
   ?budget:int ->
   ?repair_connectivity:bool ->
   Clause.t ->
@@ -102,7 +73,6 @@ val subsumes :
 (** [subsumes_bool c d] is [subsumes c d = Subsumed _]; budget exhaustion
     counts as failure and is logged at warning level. *)
 val subsumes_bool :
-  ?engine:engine ->
   ?budget:int ->
   ?repair_connectivity:bool ->
   Clause.t ->
@@ -111,16 +81,23 @@ val subsumes_bool :
 
 (** [equivalent c d] holds when each clause θ-subsumes the other —
     the equivalence used by Proposition 4.8. *)
-val equivalent : ?engine:engine -> ?budget:int -> Clause.t -> Clause.t -> bool
+val equivalent : ?budget:int -> Clause.t -> Clause.t -> bool
 
 (** [subsumes_naive c d] is a reference implementation: plain chronological
     backtracking over the body literals in order, no component
     decomposition, no dynamic literal selection. It decides the same
     relation as {!subsumes} (property-tested) but degrades badly on large
-    clauses — kept as the correctness oracle and as the baseline of the
-    search-strategy ablation. *)
+    clauses — kept as the tests' correctness oracle. *)
 val subsumes_naive :
   ?budget:int -> ?repair_connectivity:bool -> Clause.t -> Clause.t -> outcome
+
+(** [subsumes_target_sat ?budget ?repair_connectivity c t] decides
+    [c ⊆θ D] with the SAT rescue alone ({!Sat_subsumption}, solver shared
+    per target). {!subsumes_target} calls it only when its first witness
+    fails the repair-connectivity condition; it is exported so the
+    differential tests can run it on every instance. *)
+val subsumes_target_sat :
+  ?budget:int -> ?repair_connectivity:bool -> Clause.t -> target -> outcome
 
 (** Process-wide counters of the CSP kernel, aggregated across domains.
     [nodes] counts candidate assignments tried, [propagations] candidates

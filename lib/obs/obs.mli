@@ -157,6 +157,13 @@ val report : unit -> string
     BENCH_*.json by the bench harness. *)
 val report_json : unit -> string
 
+(** [json_escape s] is [s] escaped for the inside of a JSON string
+    literal: quote, backslash and control bytes are escaped, every other
+    byte (non-ASCII included) passes through. The one escaper behind every
+    JSON the repo writes: traces, reports, diagnostics and the serve
+    protocol. *)
+val json_escape : string -> string
+
 (** Zero every metric and drop recorded events. Handles stay valid. *)
 val reset : unit -> unit
 

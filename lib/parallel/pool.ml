@@ -455,15 +455,6 @@ let map_list pool f l = Array.to_list (map pool f (Array.of_list l))
 
 let filter_count_list pool p l = filter_count pool p (Array.of_list l)
 
-let filter_list pool p l =
-  let arr = Array.of_list l in
-  let keep = map pool p arr in
-  let out = ref [] in
-  for i = Array.length arr - 1 downto 0 do
-    if keep.(i) then out := arr.(i) :: !out
-  done;
-  !out
-
 (* Process-wide pools, one per size, shut down at exit so no domain is
    left blocked on a condition variable when the runtime tears down. *)
 let registry : (int, t) Hashtbl.t = Hashtbl.create 4

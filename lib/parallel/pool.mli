@@ -73,10 +73,6 @@ val filter_count : t -> ('a -> bool) -> 'a array -> int
 
 val filter_count_list : t -> ('a -> bool) -> 'a list -> int
 
-(** [filter_list pool p l] keeps the elements satisfying [p], in their
-    original order ([p] is evaluated in parallel, once per element). *)
-val filter_list : t -> ('a -> bool) -> 'a list -> 'a list
-
 (** [iter pool f arr] runs [f] on every element, in parallel. *)
 val iter : t -> ('a -> unit) -> 'a array -> unit
 

@@ -1,9 +1,10 @@
 (* Minimal JSON: the wire format of the serve protocol. The repo already
-   renders JSON by hand in several places (diagnostics, Obs reports);
-   the server also has to {e parse} requests, so this module closes the
-   loop without a new dependency. Only what RFC 8259 requires for this
-   protocol: objects, arrays, strings with escapes, ints, floats, bools,
-   null. Unicode escapes decode to UTF-8; non-ASCII bytes pass through
+   renders JSON by hand in several places (diagnostics, Obs reports), all
+   through [Obs.json_escape], which strings here use too; the server also
+   has to {e parse} requests, so this module closes the loop without a
+   new dependency. Only what RFC 8259 requires for this protocol:
+   objects, arrays, strings with escapes, ints, floats, bools, null.
+   Unicode escapes decode to UTF-8; non-ASCII bytes pass through
    untouched in both directions. *)
 
 type t =
@@ -21,18 +22,7 @@ exception Parse_error of string
 
 let escape buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  Buffer.add_string buf (Dlearn_obs.Obs.json_escape s);
   Buffer.add_char buf '"'
 
 let rec write buf = function

@@ -1,14 +1,15 @@
-(* The incremental-vs-from-scratch equivalence suite.
+(* The learner-vs-reference equivalence suite.
 
-   The incremental coverage engine (docs/COVERAGE.md) promises that
-   verdict caching, generalization-monotone inheritance and score-bound
-   pruning never change a learned definition or a coverage count. This
-   suite pins that promise: Bitset unit tests against a sorted-list
-   model, degenerate-input tests for the batch API, and a QCheck
-   differential property running [Learner.learn] with
-   [Config.incremental_coverage] on (at 1, 2 and 4 domains) and off,
-   over random example multisets on MD and CFD repair spaces — the
-   definitions and the per-clause (pos, neg) stats must be identical. *)
+   The coverage engine (docs/COVERAGE.md) promises that clause
+   normalization, verdict caching, generalization-monotone inheritance,
+   score-bound pruning and the skeleton prefilter never change a learned
+   definition or a coverage count. This suite pins that promise: Bitset
+   unit tests against a sorted-list model, degenerate-input tests for the
+   batch API, and QCheck differentials against the from-scratch
+   reference of learner_oracle.ml over random example multisets on MD and
+   CFD repair spaces — coverage counts must be identical, and
+   [Learner.learn] at 1, 2 and 4 domains must learn the reference's
+   definitions with its per-clause (pos, neg) stats. *)
 
 open Dlearn_relation
 open Dlearn_constraints
@@ -157,7 +158,7 @@ let md_title =
 
 let target = Schema.string_attrs "restricted" [ "id" ]
 
-let toy_config ~jobs ~threshold ~incremental =
+let toy_config ~jobs ~threshold =
   {
     (Config.default ~target) with
     Config.constant_attrs =
@@ -166,7 +167,6 @@ let toy_config ~jobs ~threshold ~incremental =
     min_pos = 2;
     sample_positives = 4;
     num_domains = jobs;
-    incremental_coverage = incremental;
     (* the constraints are known-good; skip the per-learn preflight *)
     allow_dirty_constraints = true;
   }
@@ -178,12 +178,10 @@ let examples = [| ex "m1"; ex "m2"; ex "m3"; ex "m4" |]
 (* Degenerate batch inputs                                             *)
 (* ------------------------------------------------------------------ *)
 
-let fresh_ctx ?(jobs = 1) ?(incremental = true) ?(cfd = false) () =
+let fresh_ctx ?(jobs = 1) ?(cfd = false) () =
   let db = if cfd then violating_db () else toy_db () in
   let cfds = if cfd then [ phi ] else [] in
-  Context.create
-    (toy_config ~jobs ~threshold:0.7 ~incremental)
-    db [ md_title ] cfds
+  Context.create (toy_config ~jobs ~threshold:0.7) db [ md_title ] cfds
 
 let degenerate_tests =
   [
@@ -257,36 +255,31 @@ let degenerate_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* QCheck differential: incremental ≡ from-scratch                     *)
+(* QCheck differential: learner ≡ from-scratch reference               *)
 (* ------------------------------------------------------------------ *)
 
-(* One context per (variant, domain count, incremental flag), persistent
-   across all QCheck cases: the ground caches warm up as in a real run,
-   and — because the incremental path consumes the context RNG exactly
-   like the from-scratch path — the paired contexts stay in lockstep
-   case after case. A divergence in RNG consumption would surface here
-   as a cascade of failures. *)
+(* One context per (variant, learner or reference, domain count),
+   persistent across all QCheck cases: the ground caches warm up as in a
+   real run, and — because the reference consumes the context RNG
+   exactly like [Learner] — the contexts stay in lockstep case after
+   case. A divergence in RNG consumption would surface here as a cascade
+   of failures. *)
 type variant = {
   name : string;
-  off : Context.t;  (** 1 domain, incremental off — the reference *)
-  on_ : (int * Context.t) list;  (** num_domains -> incremental context *)
+  reference : Context.t;  (** 1 domain, driven by [Learner_oracle] *)
+  learners : (int * Context.t) list;  (** num_domains -> [Learner] context *)
 }
 
 let domain_counts = [ 1; 2; 4 ]
 
 let make_variant name ~threshold ~db ~cfds =
-  let make ~jobs ~incremental =
-    Context.create
-      (toy_config ~jobs ~threshold ~incremental)
-      (db ()) [ md_title ] cfds
+  let make jobs =
+    Context.create (toy_config ~jobs ~threshold) (db ()) [ md_title ] cfds
   in
   {
     name;
-    off = make ~jobs:1 ~incremental:false;
-    on_ =
-      List.map
-        (fun jobs -> (jobs, make ~jobs ~incremental:true))
-        domain_counts;
+    reference = make 1;
+    learners = List.map (fun jobs -> (jobs, make jobs)) domain_counts;
   }
 
 let variants =
@@ -317,44 +310,39 @@ let scenario_print s =
 
 let scenario_arb = QCheck.make ~print:scenario_print scenario_gen
 
-let outcome ctx ~pos ~neg =
-  let r = Learner.learn ctx ~pos ~neg in
-  ( Definition.to_string r.Learner.definition,
-    List.map
-      (fun s -> (s.Learner.pos_covered, s.Learner.neg_covered))
-      r.Learner.stats )
+let summary (definition, stats) =
+  ( Definition.to_string definition,
+    List.map (fun s -> (s.Learner.pos_covered, s.Learner.neg_covered)) stats )
+
+let print_stats stats =
+  String.concat ";"
+    (List.map (fun (p, n) -> Printf.sprintf "%d+/%d-" p n) stats)
 
 let learn_differential_test =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make
-       ~name:"learn: incremental at 1/2/4 domains equals from-scratch"
+       ~name:"learn: incremental at 1/2/4 domains equals the reference learner"
        ~count:500 scenario_arb
        (fun s ->
          let variant = List.nth (Lazy.force variants) s.variant_i in
          let ref_def, ref_stats =
-           outcome variant.off ~pos:s.pos ~neg:s.neg
+           summary (Learner_oracle.learn variant.reference ~pos:s.pos ~neg:s.neg)
          in
          List.for_all
            (fun (jobs, ctx) ->
-             let def, stats = outcome ctx ~pos:s.pos ~neg:s.neg in
+             let r = Learner.learn ctx ~pos:s.pos ~neg:s.neg in
+             let def, stats = summary (r.Learner.definition, r.Learner.stats) in
              if def <> ref_def then
                QCheck.Test.fail_reportf
-                 "definition diverged at %d domains:\n--- from-scratch\n%s\n\
-                  --- incremental\n%s"
+                 "definition diverged at %d domains:\n--- reference\n%s\n\
+                  --- learner\n%s"
                  jobs ref_def def
              else if stats <> ref_stats then
                QCheck.Test.fail_reportf
                  "per-clause stats diverged at %d domains: [%s] <> [%s]" jobs
-                 (String.concat ";"
-                    (List.map
-                       (fun (p, n) -> Printf.sprintf "%d+/%d-" p n)
-                       ref_stats))
-                 (String.concat ";"
-                    (List.map
-                       (fun (p, n) -> Printf.sprintf "%d+/%d-" p n)
-                       stats))
+                 (print_stats ref_stats) (print_stats stats)
              else true)
-           variant.on_))
+           variant.learners))
 
 let coverage_differential_test =
   QCheck_alcotest.to_alcotest
@@ -365,30 +353,28 @@ let coverage_differential_test =
          let variant = List.nth (Lazy.force variants) s.variant_i in
          (* Exercise the cache with clauses derived from the scenario's
             own examples: bottoms and their pairwise ARMGs. *)
-         let ctx_on = List.assoc 1 variant.on_ in
-         let ctx_off = variant.off in
+         let reference = variant.reference in
+         let ctx = List.assoc 1 variant.learners in
          let clauses =
            match s.pos with
            | [] -> []
            | seed :: rest ->
                let bottom =
-                 Bottom_clause.build ctx_off Bottom_clause.Variable seed
+                 Bottom_clause.build reference Bottom_clause.Variable seed
                in
                bottom
                :: List.filter_map
-                    (fun e -> Generalization.armg ctx_off bottom e)
+                    (fun e -> Generalization.armg reference bottom e)
                     rest
          in
          List.for_all
            (fun clause ->
              let scratch =
-               Coverage.coverage ctx_off
-                 (Coverage.prepare ctx_off clause)
-                 ~pos:s.pos ~neg:s.neg
+               Learner_oracle.coverage reference clause ~pos:s.pos ~neg:s.neg
              in
              let cached =
-               Coverage.coverage ctx_on
-                 (Coverage.prepare ctx_on clause)
+               Coverage.coverage ctx
+                 (Coverage.prepare ctx clause)
                  ~pos:s.pos ~neg:s.neg
              in
              if scratch <> cached then

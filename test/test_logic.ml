@@ -400,9 +400,10 @@ let subsumption_tests =
            shared occurrence of the selected literal, so a duplicated body
            literal cost one candidate expansion instead of two. Pin the
            budget spend: with 10 candidate facts per occurrence, a budget
-           of 15 admits only the first expansion and must exhaust (both
-           engines charge 10 per enumerated bucket), while 100 suffices to
-           subsume. The buggy search returned Subsumed within 15. *)
+           of 15 admits only the first expansion and must exhaust (the
+           CSP kernel charges 10 per enumerated bucket), while 100
+           suffices to subsume. The buggy search returned Subsumed
+           within 15. *)
         let l = rel "p" [ v "x"; v "y" ] in
         let c = Clause.make ~head:(rel "T" [ v "h" ]) [ l; l ] in
         let body =
@@ -410,30 +411,25 @@ let subsumption_tests =
               rel "p" [ s (string_of_int i); s (string_of_int (i + 1)) ])
         in
         let d = Clause.make ~head:(rel "T" [ s "k" ]) body in
-        List.iter
-          (fun engine ->
-            let name = Subsumption.engine_name engine in
-            Alcotest.(check bool)
-              (name ^ ": budget 15 exhausts on the second occurrence") true
-              (Subsumption.subsumes ~engine ~budget:15 c d
-              = Subsumption.Budget_exhausted);
-            Alcotest.(check bool)
-              (name ^ ": budget 100 subsumes") true
-              (match Subsumption.subsumes ~engine ~budget:100 c d with
-              | Subsumption.Subsumed _ -> true
-              | _ -> false))
-          [ `Csp; `Backtrack ]);
+        Alcotest.(check bool)
+          "budget 15 exhausts on the second occurrence" true
+          (Subsumption.subsumes ~budget:15 c d = Subsumption.Budget_exhausted);
+        Alcotest.(check bool)
+          "budget 100 subsumes" true
+          (match Subsumption.subsumes ~budget:100 c d with
+          | Subsumption.Subsumed _ -> true
+          | _ -> false));
     Alcotest.test_case "clause subsumes itself (with repairs)" `Quick (fun () ->
         let c = example_3_3 () in
         Alcotest.(check bool) "reflexive" true (Subsumption.subsumes_bool c c));
     Alcotest.test_case "connectivity failure backtracks into the search"
       `Quick (fun () ->
-        (* Found by the four-engine differential (qcheck seed 6287191):
-           C's only body atom maps onto p("a","d") first — an image the
+        (* Found by the engine differential (qcheck seed 6287191): C's
+           only body atom maps onto p("a","d") first — an image the
            repair-connectivity condition rejects, because "d" is
            attached to an unmapped repair — but mapping onto p("e",mx)
-           instead satisfies everything. The decomposed engines used to
-           post-filter connectivity on their first witness and answer
+           instead satisfies everything. The CSP kernel used to
+           post-filter connectivity on its first witness and answer
            Not_subsumed; the condition must backtrack the search. *)
         let c =
           Clause.make
@@ -467,17 +463,18 @@ let subsumption_tests =
               Literal.Eq (v "gvx", v "gvy");
             ]
         in
-        List.iter
-          (fun engine ->
-            let name = Subsumption.engine_name engine in
-            Alcotest.(check bool)
-              (name ^ ": subsumed despite first-witness rejection") true
-              (match
-                 Subsumption.subsumes ~engine ~repair_connectivity:true c d
-               with
-              | Subsumption.Subsumed _ -> true
-              | _ -> false))
-          [ `Csp; `Backtrack; `Sat ];
+        let subsumed = function
+          | Subsumption.Subsumed _ -> true
+          | _ -> false
+        in
+        Alcotest.(check bool)
+          "csp: subsumed despite first-witness rejection" true
+          (subsumed (Subsumption.subsumes ~repair_connectivity:true c d));
+        Alcotest.(check bool)
+          "sat: subsumed despite first-witness rejection" true
+          (subsumed
+             (Subsumption.subsumes_target_sat ~repair_connectivity:true c
+                (Subsumption.prepare d)));
         Alcotest.(check bool) "naive agrees" true
           (match Subsumption.subsumes_naive ~repair_connectivity:true c d with
           | Subsumption.Subsumed _ -> true
@@ -1011,17 +1008,16 @@ let qcheck_tests =
            | a, b -> a = b));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make
-         ~name:
-           "csp, backtrack, sat and naive engines agree (budgets, \
-            connectivity)"
+         ~name:"csp, sat and naive engines agree (budgets, connectivity)"
          ~count:500
          (QCheck.triple mixed_clause_arb mixed_clause_arb QCheck.bool)
          (fun (c, d, rc) ->
-           (* Every definite answer — any engine, full or tiny budget, with
-              or without the repair-connectivity condition — must agree:
-              budget exhaustion may differ between engines (they spend in
-              different places), but a definite verdict never depends on
-              the engine or the budget. *)
+           (* Every definite answer — the CSP kernel, the SAT rescue run
+              alone, or the naive oracle, at full or tiny budget, with or
+              without the repair-connectivity condition — must agree:
+              budget exhaustion may differ between searches (they spend
+              in different places), but a definite verdict never depends
+              on the search or the budget. *)
            let norm = function
              | Subsumption.Subsumed _ -> `Yes
              | Subsumption.Not_subsumed -> `No
@@ -1029,12 +1025,9 @@ let qcheck_tests =
            in
            let outcomes budget =
              [
-               Subsumption.subsumes ~engine:`Csp ~budget
-                 ~repair_connectivity:rc c d;
-               Subsumption.subsumes ~engine:`Backtrack ~budget
-                 ~repair_connectivity:rc c d;
-               Subsumption.subsumes ~engine:`Sat ~budget
-                 ~repair_connectivity:rc c d;
+               Subsumption.subsumes ~budget ~repair_connectivity:rc c d;
+               Subsumption.subsumes_target_sat ~budget ~repair_connectivity:rc
+                 c (Subsumption.prepare d);
                Subsumption.subsumes_naive ~budget ~repair_connectivity:rc c d;
              ]
            in

@@ -7,10 +7,10 @@
    decision. This suite pins all three: unit tests per pass (including
    the engine-soundness guards), QCheck invariance/idempotence over
    random clauses, a coverage-preservation differential over realistic
-   bottom/ARMG clauses, and a 500-case learn differential with
-   [Config.normalize_clauses] on vs off that also accounts solve work —
-   normalization must never test more coverage verdicts than the raw
-   path, and alpha-variant rescoring must hit the cache outright. *)
+   bottom/ARMG clauses against the from-scratch reference of
+   learner_oracle.ml, and a check that alpha-variant rescoring hits the
+   cache outright. The learn differential against the reference learner
+   lives in test_incremental.ml. *)
 
 open Dlearn_relation
 open Dlearn_constraints
@@ -341,7 +341,7 @@ let md_title =
 
 let target = Schema.string_attrs "restricted" [ "id" ]
 
-let toy_config ~normalize =
+let toy_config =
   {
     (Config.default ~target) with
     Config.constant_attrs =
@@ -350,13 +350,10 @@ let toy_config ~normalize =
     min_pos = 2;
     sample_positives = 4;
     num_domains = 1;
-    incremental_coverage = true;
-    normalize_clauses = normalize;
     allow_dirty_constraints = true;
   }
 
-let make_ctx ~normalize =
-  Context.create (toy_config ~normalize) (toy_db ()) [ md_title ] [ phi ]
+let make_ctx () = Context.create toy_config (toy_db ()) [ md_title ] [ phi ]
 
 let ex id = Tuple.of_strings [ id ]
 let examples = [| ex "m1"; ex "m2"; ex "m3"; ex "m4" |]
@@ -365,11 +362,12 @@ let examples = [| ex "m1"; ex "m2"; ex "m3"; ex "m4" |]
 (* Coverage preservation: normalized clause ≡ raw clause               *)
 (* ------------------------------------------------------------------ *)
 
-(* Prepared in a normalize-off context, so both sides are tested exactly
-   as given: this checks the pipeline's rewrites against the real
-   engines over repair-laden bottom/ARMG clauses, not just the climb. *)
+(* The reference tests the raw clause exactly as given, while
+   [Coverage.prepare] normalizes it: this checks the pipeline's rewrites
+   against the real search over repair-laden bottom/ARMG clauses, not
+   just the climb. *)
 let coverage_preservation_test =
-  let ctx = lazy (make_ctx ~normalize:false) in
+  let ctx = lazy (make_ctx ()) in
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make
        ~name:"coverage of the normalized clause equals the raw clause"
@@ -395,13 +393,11 @@ let coverage_preservation_test =
          List.for_all
            (fun clause ->
              let raw =
-               Coverage.coverage ctx
-                 (Coverage.prepare ctx clause)
-                 ~pos:universe ~neg:universe
+               Learner_oracle.coverage ctx clause ~pos:universe ~neg:universe
              in
              let normed =
                Coverage.coverage ctx
-                 (Coverage.prepare ctx (Clause_norm.normalize clause))
+                 (Coverage.prepare ctx clause)
                  ~pos:universe ~neg:universe
              in
              if raw <> normed then
@@ -413,63 +409,11 @@ let coverage_preservation_test =
            clauses))
 
 (* ------------------------------------------------------------------ *)
-(* Learn differential: normalize-on ≡ normalize-off, fewer solves      *)
+(* Cover-cache sharing across alpha-variants                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Contexts persist across all QCheck cases (ground caches warm up as in
-   a real run); the coverage.tested counter is global, so each learn is
-   bracketed by snapshots to attribute verdict work per context. *)
-let ctx_on = lazy (make_ctx ~normalize:true)
-let ctx_off = lazy (make_ctx ~normalize:false)
-let tested_on = ref 0
-let tested_off = ref 0
-
-let outcome acc ctx ~pos ~neg =
-  let tested = (Lazy.force ctx).Context.cover_stats.Context.tested in
-  let before = Obs.value tested in
-  let r = Learner.learn (Lazy.force ctx) ~pos ~neg in
-  acc := !acc + (Obs.value tested - before);
-  ( Definition.to_string r.Learner.definition,
-    List.map
-      (fun st -> (st.Learner.pos_covered, st.Learner.neg_covered))
-      r.Learner.stats )
-
-let example_list_gen =
-  QCheck.Gen.(list_size (0 -- 6) (map (fun i -> examples.(i)) (0 -- 3)))
-
-let learn_differential_test =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make
-       ~name:"learn: normalize-on equals normalize-off (500 cases)"
-       ~count:500
-       (QCheck.make
-          ~print:(fun (pos, neg) ->
-            Printf.sprintf "pos=[%s] neg=[%s]"
-              (String.concat ";" (List.map Tuple.to_string pos))
-              (String.concat ";" (List.map Tuple.to_string neg)))
-          QCheck.Gen.(pair example_list_gen example_list_gen))
-       (fun (pos, neg) ->
-         let def_off, stats_off = outcome tested_off ctx_off ~pos ~neg in
-         let def_on, stats_on = outcome tested_on ctx_on ~pos ~neg in
-         if def_on <> def_off then
-           QCheck.Test.fail_reportf
-             "definition diverged:\n--- normalize off\n%s\n--- normalize on\n%s"
-             def_off def_on
-         else if stats_on <> stats_off then
-           QCheck.Test.fail_reportf "per-clause stats diverged"
-         else true))
-
-(* Runs after the differential (Alcotest executes the list in order). *)
-let solve_budget_test =
-  Alcotest.test_case "normalization never tests more coverage verdicts"
-    `Quick (fun () ->
-      Alcotest.(check bool)
-        (Printf.sprintf "tested on=%d <= off=%d" !tested_on !tested_off)
-        true
-        (!tested_on <= !tested_off))
-
-(* Deterministic strict improvement: rescoring an alpha-renamed variant
-   is a pure cache hit with normalization on, and a full recompute off. *)
+(* Rescoring an alpha-renamed variant is a pure cache hit: both
+   normalize to the same cover-cache key. *)
 let alpha_cache_test =
   Alcotest.test_case "alpha-variant rescoring hits the cache" `Quick
     (fun () ->
@@ -490,19 +434,10 @@ let alpha_cache_test =
             | t -> t)
           c
       in
-      let run ctx =
-        let bottom =
-          Bottom_clause.build ctx Bottom_clause.Variable (ex "m1")
-        in
-        ignore (score ctx bottom);
-        score ctx (rename bottom)
-      in
-      let on_delta = run (make_ctx ~normalize:true) in
-      let off_delta = run (make_ctx ~normalize:false) in
-      Alcotest.(check int) "on: all verdicts cached" 0 on_delta;
-      Alcotest.(check bool)
-        (Printf.sprintf "off: recomputes (%d verdicts)" off_delta)
-        true (off_delta > 0))
+      let ctx = make_ctx () in
+      let bottom = Bottom_clause.build ctx Bottom_clause.Variable (ex "m1") in
+      ignore (score ctx bottom);
+      Alcotest.(check int) "all verdicts cached" 0 (score ctx (rename bottom)))
 
 let () =
   Alcotest.run "normalize"
@@ -510,6 +445,5 @@ let () =
       ("passes", unit_tests);
       ("canonical form", [ invariance_test; idempotence_test ]);
       ("coverage", [ coverage_preservation_test ]);
-      ( "differential",
-        [ learn_differential_test; solve_budget_test; alpha_cache_test ] );
+      ("differential", [ alpha_cache_test ]);
     ]

@@ -80,13 +80,6 @@ let pool_tests =
               expected
               (Pool.filter_count pool p arr))
           pool_sizes);
-    Alcotest.test_case "filter_list keeps order" `Quick (fun () ->
-        let pool = Pool.get 8 in
-        let l = List.init 200 (fun i -> i) in
-        let p x = x mod 7 < 3 in
-        Alcotest.(check (list int))
-          "same elements, same order" (List.filter p l)
-          (Pool.filter_list pool p l));
     Alcotest.test_case "iter visits every element once" `Quick (fun () ->
         let pool = Pool.get 4 in
         let counters = Array.init 500 (fun _ -> Atomic.make 0) in

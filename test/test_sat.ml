@@ -1,8 +1,9 @@
-(* Tests for the SAT θ-subsumption backend: the CDCL core in isolation
+(* Tests for the SAT θ-subsumption rescue: the CDCL core in isolation
    (unit propagation, conflict analysis, incremental assumptions), the
-   learned-clause soundness property, witness soundness of the [`Sat]
-   engine against the naive oracle, and the cross-candidate clause-reuse
-   behaviour the incremental encoding exists for. *)
+   learned-clause soundness property, witness soundness of
+   [Subsumption.subsumes_target_sat] against the naive oracle, and the
+   cross-candidate clause-reuse behaviour the incremental encoding exists
+   for. *)
 
 open Dlearn_logic
 module S = Sat_core
@@ -226,8 +227,8 @@ let witness_tests =
          (QCheck.triple mixed_clause_arb mixed_clause_arb QCheck.bool)
          (fun (c, d, rc) ->
            match
-             Subsumption.subsumes ~engine:`Sat ~budget:500_000
-               ~repair_connectivity:rc c d
+             Subsumption.subsumes_target_sat ~budget:500_000
+               ~repair_connectivity:rc c (Subsumption.prepare d)
            with
            | Subsumption.Subsumed theta -> (
                (* θC must still subsume D: θ grounds the sat engine's
@@ -291,14 +292,24 @@ let chain_candidates () =
     Clause.make ~head:h [ rel "p" [ v "x"; v "y" ] ];
   ]
 
+(* One solve with the reused-clause hits it caused. *)
+let solve target c =
+  let before = (Sat_subsumption.stats ()).Sat_subsumption.reused_clause_hits in
+  let outcome = Subsumption.subsumes_target_sat c target in
+  let after = (Sat_subsumption.stats ()).Sat_subsumption.reused_clause_hits in
+  (outcome, after - before)
+
+(* The chain on one shared target: its solver, encodings and learned
+   clauses carry over from candidate to candidate. *)
 let run_chain () =
   let target = Subsumption.prepare (reuse_target ()) in
+  List.map (solve target) (chain_candidates ())
+
+(* Each candidate on a freshly prepared target, so on a new solver with
+   nothing to reuse. *)
+let run_fresh () =
   List.map
-    (fun c ->
-      let before = (Sat_subsumption.stats ()).Sat_subsumption.reused_clause_hits in
-      let outcome = Subsumption.subsumes_target ~engine:`Sat c target in
-      let after = (Sat_subsumption.stats ()).Sat_subsumption.reused_clause_hits in
-      (outcome, after - before))
+    (fun c -> solve (Subsumption.prepare (reuse_target ())) c)
     (chain_candidates ())
 
 let normalize_outcome = function
@@ -311,20 +322,12 @@ let normalize_outcome = function
   | Subsumption.Not_subsumed -> `Not_subsumed
   | Subsumption.Budget_exhausted -> `Budget_exhausted
 
-let with_reuse flag f =
-  let prev = Sys.getenv_opt "DLEARN_SAT_REUSE" in
-  Unix.putenv "DLEARN_SAT_REUSE" (if flag then "on" else "off");
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv "DLEARN_SAT_REUSE" (Option.value ~default:"on" prev))
-    f
-
 let reuse_tests =
   [
     Alcotest.test_case
       "conflict clauses learned on one candidate prune the next" `Quick
       (fun () ->
-        let results = with_reuse true run_chain in
+        let results = run_chain () in
         match results with
         | [ (o1, hits1); (o2, hits2); (o3, _) ] ->
             Alcotest.(check bool) "candidate 1 refuted" true
@@ -338,20 +341,20 @@ let reuse_tests =
             Alcotest.(check bool) "candidate 3 subsumes" true
               (match o3 with Subsumption.Subsumed _ -> true | _ -> false)
         | _ -> Alcotest.fail "expected three chain results");
-    Alcotest.test_case "verdicts are identical with reuse disabled" `Quick
-      (fun () ->
-        let on = with_reuse true run_chain in
-        let off = with_reuse false run_chain in
+    Alcotest.test_case "verdicts are identical with reuse and on fresh targets"
+      `Quick (fun () ->
+        let shared = run_chain () in
+        let fresh = run_fresh () in
         List.iteri
-          (fun i ((o_on, _), (o_off, hits_off)) ->
+          (fun i ((o_shared, _), (o_fresh, hits_fresh)) ->
             Alcotest.(check bool)
               (Printf.sprintf "candidate %d agrees" (i + 1))
               true
-              (normalize_outcome o_on = normalize_outcome o_off);
+              (normalize_outcome o_shared = normalize_outcome o_fresh);
             Alcotest.(check int)
-              (Printf.sprintf "candidate %d: no reuse when disabled" (i + 1))
-              0 hits_off)
-          (List.combine on off));
+              (Printf.sprintf "candidate %d: no reuse on a fresh target" (i + 1))
+              0 hits_fresh)
+          (List.combine shared fresh));
   ]
 
 let () =

@@ -47,6 +47,22 @@ let json_tests =
         Alcotest.(check (option int)) "int" (Some 3) (Json.int_field "i" v);
         Alcotest.(check (option int)) "wrong shape" None (Json.int_field "s" v);
         Alcotest.(check (option int)) "missing" None (Json.int_field "zz" v));
+    (* Printing goes through the escaper shared with diagnostics and Obs
+       reports; any byte string must survive print then parse. *)
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"any byte string round-trips" ~count:1000
+         (QCheck.make ~print:(Printf.sprintf "%S")
+            QCheck.Gen.(
+              string_size (0 -- 40)
+                ~gen:
+                  (frequency
+                     [
+                       (2, oneofl [ '"'; '\\'; '/'; '\n'; '\r'; '\t'; '\b' ]);
+                       (2, map Char.chr (0 -- 0x1f));
+                       (2, map Char.chr (0x7f -- 0xff));
+                       (4, char);
+                     ])))
+         (fun s -> Json.of_string (Json.to_string (Json.String s)) = Json.String s));
   ]
 
 let protocol_tests =
