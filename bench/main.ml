@@ -503,11 +503,11 @@ let bench_coverage ~folds:_ ~n () =
 (* ------------------------------------------------------------------ *)
 
 (* The seed repo's Sim_index, kept verbatim as the sequential baseline:
-   one string-keyed posting table, no sharding, no length prefilter, no
-   pool. [speedup_vs_legacy] in BENCH_scale.json is measured against
+   one string-keyed posting table, no packed keys, no length prefilter,
+   no pool. [speedup_vs_legacy] in BENCH_scale.json is measured against
    this — the from-scratch baseline, as BENCH_coverage.json does for the
    incremental engine — while [speedup_parallel] isolates pure pool
-   scaling (sharded jobs=1 vs jobs=j). *)
+   scaling (jobs=1 vs jobs=j). *)
 module Legacy_index = struct
   module Sim = Dlearn_similarity
 
@@ -591,7 +591,7 @@ let bench_scale ~folds:_ ~n () =
   in
   let km = 5 and threshold = 0.9 in
   Printf.printf
-    "== Scale: streaming storage + sharded Sim_index (tuples=%d, jobs sweep \
+    "== Scale: streaming storage + Sim_index (tuples=%d, jobs sweep \
      %s) ==\n\
      %!"
     tuples
@@ -656,7 +656,7 @@ let bench_scale ~folds:_ ~n () =
   let right = titles Scale_gen.dst_name in
   let left_all = titles Scale_gen.src_name in
   let nvalues = List.length right in
-  (* Phase 3: index build, legacy vs sharded across the jobs sweep. *)
+  (* Phase 3: index build, legacy vs Sim_index across the jobs sweep. *)
   let legacy_build_s =
     best_of 2 (fun () -> fst (time (fun () -> Legacy_index.create right)))
   in
@@ -677,9 +677,8 @@ let bench_scale ~folds:_ ~n () =
       sweep_jobs
   in
   let build1 = List.assoc 1 build_sweep in
-  let shard_index = Sim.create ~jobs:jobs right in
-  Printf.printf "index build (%d values, %d shards): legacy %.3fs" nvalues
-    (Sim.shard_count shard_index) legacy_build_s;
+  let index = Sim.create ~jobs:jobs right in
+  Printf.printf "index build (%d values): legacy %.3fs" nvalues legacy_build_s;
   List.iter
     (fun (j, s) ->
       Printf.printf "  %dd %.3fs (%.2fx legacy, %.2fx par)" j s
@@ -699,16 +698,15 @@ let bench_scale ~folds:_ ~n () =
     time (fun () ->
         List.map (fun q -> Legacy_index.query legacy ~km ~threshold q) queries)
   in
-  let shard_query_s, shard_hits =
-    time (fun () ->
-        List.map (fun q -> Sim.query shard_index ~km ~threshold q) queries)
+  let index_query_s, index_hits =
+    time (fun () -> List.map (fun q -> Sim.query index ~km ~threshold q) queries)
   in
-  let query_agree = legacy_hits = shard_hits in
+  let query_agree = legacy_hits = index_hits in
   Printf.printf
-    "query x%d: legacy %.3fs, sharded %.3fs (%.2fx, %.0f q/s), agree=%b\n%!"
-    nq legacy_query_s shard_query_s
-    (legacy_query_s /. shard_query_s)
-    (float_of_int nq /. shard_query_s)
+    "query x%d: legacy %.3fs, index %.3fs (%.2fx, %.0f q/s), agree=%b\n%!"
+    nq legacy_query_s index_query_s
+    (legacy_query_s /. index_query_s)
+    (float_of_int nq /. index_query_s)
     query_agree;
   (* Phase 5: match_pairs — build plus one query per left value. *)
   let left = sample (max 50 (min 200 (tuples / 500))) left_all in
@@ -740,7 +738,7 @@ let bench_scale ~folds:_ ~n () =
     match_sweep;
   Printf.printf "  agree=%b\n%!" match_agree;
   if not (deterministic && query_agree && match_agree) then
-    failwith "bench scale: sharded index disagrees with the legacy baseline";
+    failwith "bench scale: Sim_index disagrees with the legacy baseline";
   (* Machine-readable record of the perf trajectory. *)
   let oc = open_out "BENCH_scale.json" in
   Printf.fprintf oc
@@ -774,22 +772,19 @@ let bench_scale ~folds:_ ~n () =
          sweep)
   in
   Printf.fprintf oc
-    "  \"index_build\": {\"values\": %d, \"shards\": %d, \"legacy_seq_s\": \
-     %.6f,\n\
+    "  \"index_build\": {\"values\": %d, \"legacy_seq_s\": %.6f,\n\
     \    \"sweep\": [%s],\n\
     \    \"deterministic_across_jobs\": %b},\n"
-    nvalues
-    (Sim.shard_count shard_index)
-    legacy_build_s
+    nvalues legacy_build_s
     (sweep_json "seconds" legacy_build_s build1 build_sweep)
     deterministic;
   Printf.fprintf oc
     "  \"query\": {\"queries\": %d, \"km\": %d, \"threshold\": %.2f, \
      \"legacy_s\": %.6f, \"sharded_s\": %.6f, \"speedup_vs_legacy\": %.3f, \
      \"sharded_qps\": %.0f, \"results_agree\": %b},\n"
-    nq km threshold legacy_query_s shard_query_s
-    (legacy_query_s /. shard_query_s)
-    (float_of_int nq /. shard_query_s)
+    nq km threshold legacy_query_s index_query_s
+    (legacy_query_s /. index_query_s)
+    (float_of_int nq /. index_query_s)
     query_agree;
   Printf.fprintf oc
     "  \"match_pairs\": {\"left\": %d, \"pairs\": %d, \"legacy_s\": %.6f,\n\

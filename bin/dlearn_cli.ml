@@ -36,6 +36,28 @@ let system_of_string = function
               "unknown system %s (expected dlearn/nomd/exact/clean/cfd/repaired)"
               other))
 
+(* An unusable argument: one line on stderr naming it, then exit 1, the
+   status [check] exits with when it finds errors. *)
+let input_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("dlearn: " ^ msg);
+      exit 1)
+    fmt
+
+let parse_clause text =
+  match Dlearn_logic.Parser.clause text with
+  | Ok c -> c
+  | Error msg -> input_error "--clause %S: parse error %s" text msg
+
+let positive_example w index =
+  let pos = w.Workload.pos in
+  let count = List.length pos in
+  if index < 0 || index >= count then
+    input_error "--example %d is out of range: %d positive examples (0..%d)"
+      index count (count - 1)
+  else List.nth pos index
+
 (* Shared options. *)
 let dataset_arg =
   let doc = "Workload: imdb1, imdb3, walmart or dblp." in
@@ -155,11 +177,11 @@ let show_cmd =
   let run dataset n km depth p index ground =
     setup_logs false;
     let w = apply_overrides (make_dataset ?n dataset) km depth p in
+    let e = positive_example w index in
     let ctx =
       Context.create w.Workload.config w.Workload.db w.Workload.mds
         w.Workload.cfds
     in
-    let e = List.nth w.Workload.pos index in
     Printf.printf "example: %s\n\n" (Tuple.to_string e);
     let mode = if ground then Bottom_clause.Ground else Bottom_clause.Variable in
     let c = Bottom_clause.build ctx mode e in
@@ -186,24 +208,22 @@ let query_cmd =
     Arg.(value & opt int 25 & info [ "limit" ] ~docv:"N" ~doc)
   in
   let run dataset n p clause limit =
+    let c = parse_clause clause in
     let w = apply_overrides (make_dataset ?n dataset) None None p in
-    match Dlearn_logic.Parser.clause clause with
-    | Error msg -> Printf.eprintf "parse error %s\n" msg
-    | Ok c ->
-        let oracle = Conjunctive.oracle_of_spec w.Workload.config.Config.sim in
-        let rows = Conjunctive.answers ~limit w.Workload.db oracle c in
-        if rows = [] then print_endline "(no answers)"
-        else
-          Text_table.print
-            ~header:
-              (List.init
-                 (Tuple.arity (List.hd rows))
-                 (fun i -> Printf.sprintf "col%d" i))
-            (List.map
-               (fun t ->
-                 List.init (Tuple.arity t) (fun i ->
-                     Value.to_string (Tuple.get t i)))
-               rows)
+    let oracle = Conjunctive.oracle_of_spec w.Workload.config.Config.sim in
+    let rows = Conjunctive.answers ~limit w.Workload.db oracle c in
+    if rows = [] then print_endline "(no answers)"
+    else
+      Text_table.print
+        ~header:
+          (List.init
+             (Tuple.arity (List.hd rows))
+             (fun i -> Printf.sprintf "col%d" i))
+        (List.map
+           (fun t ->
+             List.init (Tuple.arity t) (fun i ->
+                 Value.to_string (Tuple.get t i)))
+           rows)
   in
   Cmd.v
     (Cmd.info "query" ~doc:"Evaluate a conjunctive query over a workload.")
@@ -221,19 +241,17 @@ let explain_cmd =
   in
   let run dataset n km depth p clause index =
     setup_logs false;
+    let c = parse_clause clause in
     let w = apply_overrides (make_dataset ?n dataset) km depth p in
-    match Dlearn_logic.Parser.clause clause with
-    | Error msg -> Printf.eprintf "parse error %s\n" msg
-    | Ok c -> (
-        let ctx =
-          Context.create w.Workload.config w.Workload.db w.Workload.mds
-            w.Workload.cfds
-        in
-        let e = List.nth w.Workload.pos index in
-        Printf.printf "example: %s\n" (Tuple.to_string e);
-        match Explain.positive ctx c e with
-        | Some explanation -> print_endline explanation
-        | None -> print_endline "the clause does not cover this example")
+    let e = positive_example w index in
+    let ctx =
+      Context.create w.Workload.config w.Workload.db w.Workload.mds
+        w.Workload.cfds
+    in
+    Printf.printf "example: %s\n" (Tuple.to_string e);
+    match Explain.positive ctx c e with
+    | Some explanation -> print_endline explanation
+    | None -> print_endline "the clause does not cover this example"
   in
   Cmd.v
     (Cmd.info "explain"

@@ -1,11 +1,6 @@
 open Dlearn_relation
 open Dlearn_constraints
 
-let domain_to_string = function
-  | Schema.Dint -> "int"
-  | Schema.Dfloat -> "float"
-  | Schema.Dstring -> "string"
-
 let pattern_fits domain = function
   | Cfd.Wildcard -> true
   | Cfd.Const v -> (
@@ -65,7 +60,7 @@ let check_cfd db (cfd : Cfd.t) =
                    (Printf.sprintf
                       "pattern constant cannot match the %s domain of \
                        %s.%s; the CFD never applies"
-                      (domain_to_string domain) cfd.Cfd.relation attr)))
+                      (Schema.domain_to_string domain) cfd.Cfd.relation attr)))
           typed
       in
       let empty_ds =
@@ -200,7 +195,7 @@ let check_md db (md : Md.t) =
                 (Diagnostic.error ~code:"DL312" ~subject
                    ~witness:
                      (Printf.sprintf "%s.%s is %s" rel attr
-                        (domain_to_string domain))
+                        (Schema.domain_to_string domain))
                    (Printf.sprintf
                       "MD compares or unifies %s.%s, which is not \
                        string-typed; the similarity operator is defined \

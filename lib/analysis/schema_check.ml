@@ -1,11 +1,6 @@
 open Dlearn_relation
 open Dlearn_logic
 
-let domain_to_string = function
-  | Schema.Dint -> "int"
-  | Schema.Dfloat -> "float"
-  | Schema.Dstring -> "string"
-
 let value_fits domain v =
   match v, domain with
   | Value.Null, _ -> true
@@ -68,7 +63,8 @@ let check db ?target clause =
                               (Term.to_string arg) site)
                          (Printf.sprintf
                             "constant %s does not fit the %s domain of %s"
-                            (Term.to_string arg) (domain_to_string domain)
+                            (Term.to_string arg)
+                            (Schema.domain_to_string domain)
                             site))
               | Term.Var v -> (
                   match Hashtbl.find_opt var_domains v with
@@ -79,8 +75,8 @@ let check db ?target clause =
                           (Diagnostic.error ~code:"DL205" ~subject
                              ~witness:
                                (Printf.sprintf "%s: %s at %s vs %s at %s" v
-                                  (domain_to_string d0) site0
-                                  (domain_to_string domain) site)
+                                  (Schema.domain_to_string d0) site0
+                                  (Schema.domain_to_string domain) site)
                              (Printf.sprintf
                                 "variable %s is used at attributes of \
                                  conflicting domains; the join can never \
@@ -114,7 +110,7 @@ let check db ?target clause =
               (Diagnostic.error ~code:"DL204" ~subject
                  ~witness:(Printf.sprintf "%s (%s at %s)"
                              (Literal.to_string l)
-                             (domain_to_string domain) site)
+                             (Schema.domain_to_string domain) site)
                  (Printf.sprintf
                     "similarity literal applies to variable %s drawn from \
                      a non-string attribute"

@@ -56,8 +56,6 @@ let note_item_cost per_item =
   let next = if prev = 0 then per_item else (3 * prev + per_item) / 4 in
   Atomic.set ewma_item_ns next
 
-let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
-
 (* ------------------------------------------------------------------ *)
 (* Jobs.
 
@@ -299,6 +297,9 @@ let run_job pool job =
     Condition.wait pool.done_c pool.done_m
   done;
   Mutex.unlock pool.done_m;
+  (* Drop the drained job, so its closure and everything it captured
+     become garbage now rather than at the next fan-out. *)
+  Mutex.protect pool.m (fun () -> pool.job <- None);
   Mutex.unlock pool.submit_m;
   match Atomic.get job.failed with
   | Some (e, bt) -> Printexc.raise_with_backtrace e bt
@@ -329,7 +330,7 @@ let run_from pool ~t0 ~start run n =
   let i = ref start in
   if threshold > 0 then begin
     let deadline = t0 + Atomic.get probe_budget_ns in
-    while !i < n && now_ns () < deadline do
+    while !i < n && Obs.now_ns () < deadline do
       run !i (!i + 1);
       incr i
     done
@@ -337,7 +338,7 @@ let run_from pool ~t0 ~start run n =
   let probed = !i in
   if probed > start then Obs.add pool.items_c (probed - start);
   if probed < n then begin
-    let elapsed = now_ns () - t0 in
+    let elapsed = Obs.now_ns () - t0 in
     let per_item = if probed = 0 then 0 else max 1 (elapsed / probed) in
     if per_item > 0 then note_item_cost per_item;
     let remaining = n - probed in
@@ -383,7 +384,7 @@ let map pool f arr =
   if n = 0 then [||]
   else if sequential pool then Array.map f arr
   else begin
-    let t0 = now_ns () in
+    let t0 = Obs.now_ns () in
     let r0 = f arr.(0) in
     let results = Array.make n r0 in
     if n > 1 then begin
@@ -406,7 +407,7 @@ let iter pool f arr =
   in
   if n = 0 then ()
   else if sequential pool then run 0 n
-  else run_from pool ~t0:(now_ns ()) ~start:0 run n
+  else run_from pool ~t0:(Obs.now_ns ()) ~start:0 run n
 
 let filter_count pool p arr =
   let n = Array.length arr in
@@ -421,7 +422,7 @@ let filter_count pool p arr =
       done;
       if !count > 0 then ignore (Atomic.fetch_and_add total !count)
     in
-    if n > 0 then run_from pool ~t0:(now_ns ()) ~start:0 run n;
+    if n > 0 then run_from pool ~t0:(Obs.now_ns ()) ~start:0 run n;
     Atomic.get total
   end
 
@@ -448,7 +449,7 @@ let fill pool ~n p =
   in
   if nbytes = 0 then ()
   else if sequential pool then run 0 nbytes
-  else run_from pool ~t0:(now_ns ()) ~start:0 run nbytes;
+  else run_from pool ~t0:(Obs.now_ns ()) ~start:0 run nbytes;
   buf
 
 let map_list pool f l = Array.to_list (map pool f (Array.of_list l))

@@ -3,6 +3,17 @@ type domain =
   | Dfloat
   | Dstring
 
+let domain_to_string = function
+  | Dint -> "int"
+  | Dfloat -> "float"
+  | Dstring -> "string"
+
+let domain_of_string = function
+  | "int" -> Dint
+  | "float" -> Dfloat
+  | "string" -> Dstring
+  | other -> invalid_arg ("Schema: unknown domain " ^ other)
+
 type attribute = {
   attr_name : string;
   domain : domain;

@@ -9,6 +9,14 @@ type domain =
   | Dfloat
   | Dstring
 
+(** ["int"], ["float"] or ["string"]: the one spelling of a domain, in
+    storage manifests and in diagnostics alike. *)
+val domain_to_string : domain -> string
+
+(** Inverse of {!domain_to_string}.
+    @raise Invalid_argument on any other string. *)
+val domain_of_string : string -> domain
+
 type attribute = {
   attr_name : string;
   domain : domain;

@@ -1,14 +1,3 @@
-let domain_to_string = function
-  | Schema.Dint -> "int"
-  | Schema.Dfloat -> "float"
-  | Schema.Dstring -> "string"
-
-let domain_of_string = function
-  | "int" -> Schema.Dint
-  | "float" -> Schema.Dfloat
-  | "string" -> Schema.Dstring
-  | other -> invalid_arg ("Storage: unknown domain " ^ other)
-
 let manifest_path dir = Filename.concat dir "manifest.txt"
 let csv_path dir name = Filename.concat dir (name ^ ".csv")
 
@@ -38,7 +27,8 @@ let write_manifest dir schemas =
           let attrs =
             Array.to_list (Schema.attributes schema)
             |> List.map (fun (a : Schema.attribute) ->
-                   Printf.sprintf "%s:%s" a.attr_name (domain_to_string a.domain))
+                   Printf.sprintf "%s:%s" a.attr_name
+                     (Schema.domain_to_string a.domain))
           in
           Printf.fprintf oc "%s|%s\n" (Schema.name schema)
             (String.concat "," attrs))
@@ -72,7 +62,7 @@ let read_manifest dir =
                           | [ attr_name; domain ] ->
                               {
                                 Schema.attr_name;
-                                domain = domain_of_string domain;
+                                domain = Schema.domain_of_string domain;
                               }
                           | _ ->
                               invalid_arg

@@ -70,7 +70,7 @@ let gram_keys ~n s =
     if !uniq = count then keys else Array.sub keys 0 !uniq
   end
 
-(* {2 Posting tables}
+(* {2 Posting table}
 
    An open-addressing table from gram key to posting list, specialized
    to int keys: linear probing over power-of-two arrays, slot hash from
@@ -87,8 +87,8 @@ module Itable = struct
     mutable vals : int list array;
   }
 
-  (* Bits 20.. of the product: disjoint from the top bits [shard_of]
-     consumes, so keys landing in one shard still spread over slots. *)
+  (* Bits 20.. of the product: its low bits depend only on the key's low
+     byte, the last character of the gram, which is heavily skewed. *)
   let mix k = (k * 0x9E3779B97F4A7C1) lsr 20
 
   let create hint =
@@ -123,23 +123,16 @@ module Itable = struct
         end)
       ovals
 
-  let install t i k ids =
-    t.keys.(i) <- k;
-    t.vals.(i) <- ids;
-    t.count <- t.count + 1;
-    (* load factor 1/2 *)
-    if t.count * 2 > t.mask then grow t
-
   let add_posting t k id =
     let i = slot t k in
     if t.vals.(i) != [] then t.vals.(i) <- id :: t.vals.(i)
-    else install t i k [ id ]
-
-  (* Merge: put [ids] in front of whatever the key already holds. *)
-  let prepend t k ids =
-    let i = slot t k in
-    if t.vals.(i) != [] then t.vals.(i) <- List.append ids t.vals.(i)
-    else install t i k ids
+    else begin
+      t.keys.(i) <- k;
+      t.vals.(i) <- [ id ];
+      t.count <- t.count + 1;
+      (* load factor 1/2 *)
+      if t.count * 2 > t.mask then grow t
+    end
 
   (* [] when absent — present keys always hold a non-empty list. *)
   let find t k = t.vals.(slot t k)
@@ -148,139 +141,36 @@ module Itable = struct
     Array.iteri (fun i ids -> if ids != [] then f t.keys.(i) ids) t.vals
 end
 
-(* {2 Sharding}
-
-   Postings are partitioned by gram key into [2^shard_bits] independent
-   tables, so index construction parallelizes (each shard is merged by
-   one pool task) and a query only probes the shard owning each of its
-   grams. The shard of a key is a pure function of the key — the top
-   bits of the same multiplicative mix, nothing positional — so the
-   partition is deterministic and balanced even though low key bytes
-   (the last character of a gram) are heavily skewed. *)
-
-let shard_of ~shard_bits k =
-  if shard_bits = 0 then 0
-  else (k * 0x9E3779B97F4A7C1) lsr (63 - shard_bits) land ((1 lsl shard_bits) - 1)
-
-(* Shard count is a fixed function of the value count only — never of
-   [jobs] — so builds at any parallelism produce identical structure. *)
-let shard_bits_for nvalues =
-  let rec go bits =
-    if 1 lsl bits >= 32 || 1 lsl (bits + 12) >= nvalues then bits
-    else go (bits + 1)
-  in
-  if nvalues < 4096 then 0 else go 1
-
 type t = {
   values : string array;  (** sorted distinct *)
   lengths : int array;
   n : int;
   measure : Combined.measure;
-  shard_bits : int;
-  shards : Itable.t array;
+  postings : Itable.t;
       (** gram key -> posting ids, descending (consed in value order) *)
 }
 
-(* {2 Build}
-
-   Postings are canonically stored as descending id lists — what
-   consing ids in ascending value order produces. Two build strategies
-   yield that same content:
-
-   - {b direct} (sequential pool, or no spare hardware parallelism):
-     one pass over the values, consing straight into the shard tables —
-     the seed implementation's loop with packed keys instead of gram
-     strings.
-   - {b chunked} (parallel pool): values are cut into fixed 4096-value
-     chunks; each chunk task builds per-shard mini-tables, then one
-     merge task per shard walks the chunks in ascending order
-     prepending each chunk's (descending) list — so later chunks end
-     up in front, reproducing the direct order exactly. Only the merge
-     copies postings; the first chunk's lists are shared.
-
-   Chunk boundaries are fixed, the shard function is fixed, and
-   [Pool.map] preserves input order, so posting content is identical
-   whatever the pool size or steal interleaving — pinned by
-   [postings_digest] in the tests. *)
-
-let build_chunk = 4096
-
-(* The chunked build only pays off when the chunk tasks actually run on
-   several cores; on a host with no spare hardware parallelism the pool
-   inlines every batch anyway, so chunk-and-merge would be pure
-   overhead — mirror the pool's own spare-parallelism rule. The env
-   knob (precedent: [DLEARN_POOL_FANOUT_NS]) lets tests force either
-   strategy to pin that both produce identical content. *)
-let use_chunked pool nvalues =
-  match Sys.getenv_opt "DLEARN_SIM_CHUNKED" with
-  | Some "always" -> true
-  | Some "never" -> false
-  | _ ->
-      nvalues > build_chunk
-      && Pool.num_domains pool > 1
-      && Domain.recommended_domain_count () > 1
-
-let build_shards pool ~shard_bits (keys_per_value : int array array) =
-  let nvalues = Array.length keys_per_value in
-  let shard_count = 1 lsl shard_bits in
-  let table_hint = max 64 (nvalues * 4 / shard_count) in
-  if not (use_chunked pool nvalues) then begin
-    let shards = Array.init shard_count (fun _ -> Itable.create table_hint) in
-    for i = 0 to nvalues - 1 do
-      Array.iter
-        (fun k -> Itable.add_posting shards.(shard_of ~shard_bits k) k i)
-        keys_per_value.(i)
-    done;
-    shards
-  end
-  else begin
-    let nchunks = (nvalues + build_chunk - 1) / build_chunk in
-    let chunk_hint = max 64 (build_chunk * 4 / shard_count) in
-    let chunk_tables =
-      Pool.map pool
-        (fun c ->
-          let lo = c * build_chunk in
-          let hi = min nvalues (lo + build_chunk) in
-          let tables =
-            Array.init shard_count (fun _ -> Itable.create chunk_hint)
-          in
-          for i = lo to hi - 1 do
-            Array.iter
-              (fun k -> Itable.add_posting tables.(shard_of ~shard_bits k) k i)
-              keys_per_value.(i)
-          done;
-          tables)
-        (Array.init nchunks Fun.id)
-    in
-    Pool.map pool
-      (fun s ->
-        let acc = Itable.create table_hint in
-        for c = 0 to nchunks - 1 do
-          Itable.iter (fun k ids -> Itable.prepend acc k ids) chunk_tables.(c).(s)
-        done;
-        acc)
-      (Array.init shard_count Fun.id)
-  end
-
 let pool_for jobs = Pool.get (match jobs with Some j -> max 1 j | None -> 1)
 
-let create ?(n = 3) ?(measure = Combined.default) ?jobs ?shard_bits values =
-  let distinct = List.sort_uniq String.compare values in
-  let values = Array.of_list distinct in
-  let nvalues = Array.length values in
-  let shard_bits =
-    match shard_bits with
-    | Some b ->
-        if b < 0 || b > 8 then invalid_arg "Sim_index.create: shard_bits"
-        else b
-    | None -> shard_bits_for nvalues
-  in
+(* {2 Build}
+
+   Gram extraction fans out over the pool, and [Pool.map] preserves
+   input order. One sequential pass in ascending value order then conses
+   each id onto the lists of its grams, so every posting list is
+   descending and the content is a function of the values alone,
+   whatever [jobs] is — pinned by [postings_digest] in the tests. *)
+let create ?(n = 3) ?(measure = Combined.default) ?jobs values =
+  let values = Array.of_list (List.sort_uniq String.compare values) in
   let pool = pool_for jobs in
   Obs.span "sim_index.build" (fun () ->
       let keys_per_value = Pool.map pool (gram_keys ~n) values in
-      let shards = build_shards pool ~shard_bits keys_per_value in
+      let postings = Itable.create (max 64 (Array.length values * 4)) in
+      Array.iteri
+        (fun i keys ->
+          Array.iter (fun k -> Itable.add_posting postings k i) keys)
+        keys_per_value;
       let lengths = Array.map String.length values in
-      { values; lengths; n; measure; shard_bits; shards })
+      { values; lengths; n; measure; postings })
 
 let of_values ?n ?measure ?jobs vs =
   let strings =
@@ -291,7 +181,6 @@ let of_values ?n ?measure ?jobs vs =
   create ?n ?measure ?jobs strings
 
 let size t = Array.length t.values
-let shard_count t = Array.length t.shards
 
 (* {2 Length-band prefilter}
 
@@ -365,7 +254,7 @@ let candidate_ids t s =
             Hashtbl.add seen i ();
             candidates := i :: !candidates
           end)
-        (Itable.find t.shards.(shard_of ~shard_bits:t.shard_bits k) k))
+        (Itable.find t.postings k))
     (gram_keys ~n:t.n s);
   !candidates
 
@@ -398,14 +287,11 @@ let match_pairs ?n ?measure ?jobs ~km ~threshold left right =
 
    A content digest of the index: values, parameters, and every posting
    list in ascending key order. Two builds of the same inputs must
-   digest identically whatever [jobs] was — the shard-parallel
-   determinism pin in the tests compares this across pool sizes and
-   build strategies. *)
+   digest identically whatever [jobs] was — the determinism pin in the
+   tests compares this across pool sizes. *)
 let postings_digest t =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf (string_of_int t.n);
-  Buffer.add_char buf '|';
-  Buffer.add_string buf (string_of_int t.shard_bits);
   Buffer.add_char buf '|';
   Array.iter
     (fun v ->
@@ -413,9 +299,7 @@ let postings_digest t =
       Buffer.add_char buf '\x00')
     t.values;
   let entries = ref [] in
-  Array.iter
-    (fun shard -> Itable.iter (fun k ids -> entries := (k, ids) :: !entries) shard)
-    t.shards;
+  Itable.iter (fun k ids -> entries := (k, ids) :: !entries) t.postings;
   let entries =
     List.sort (fun (k1, _) (k2, _) -> Int.compare k1 k2) !entries
   in

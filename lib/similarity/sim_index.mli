@@ -1,4 +1,4 @@
-(** Similarity index with sharded n-gram blocking.
+(** Similarity index with n-gram blocking.
 
     DLearn precomputes pairs of similar values (§5). The index stores the
     distinct values of one attribute; a query finds the top-[km] stored
@@ -13,10 +13,10 @@
     - grams are packed into [int] keys (no per-window string allocation
       for [n ≤ 7], structural hash beyond — hash collisions only widen
       the candidate set, never narrow it);
-    - postings are partitioned into shards by a pure function of the
-      gram key, and the build fans out over the domain {!Pool} in fixed
-      4096-value chunks — the result is bit-identical whatever [jobs]
-      is, pinned by {!postings_digest};
+    - all postings live in one open-addressing table keyed by the packed
+      gram. Gram extraction fans out over the domain {!Pool}, and one
+      sequential pass in value order fills the table, so the result is
+      bit-identical whatever [jobs] is, pinned by {!postings_digest};
     - candidates are deduplicated before scoring (a value sharing k
       grams with the query is measured once, counted by the
       [sim_index.measured] counter) and a length-band prefilter skips
@@ -26,19 +26,12 @@
 
 type t
 
-(** [create ?n ?measure ?jobs ?shard_bits values] indexes the distinct
-    strings of [values]. [n] (default 3) is the blocking gram size.
-    [jobs] (default 1 — sequential, bit-identical either way) sizes the
-    domain pool the build and {!match_pairs} fan out over. [shard_bits]
-    overrides the posting-shard count ([2^bits], chosen from the value
-    count by default); exposed for tests and tuning. *)
+(** [create ?n ?measure ?jobs values] indexes the distinct strings of
+    [values]. [n] (default 3) is the blocking gram size. [jobs] (default
+    1 — sequential, bit-identical either way) sizes the domain pool that
+    gram extraction and {!match_pairs} fan out over. *)
 val create :
-  ?n:int ->
-  ?measure:Combined.measure ->
-  ?jobs:int ->
-  ?shard_bits:int ->
-  string list ->
-  t
+  ?n:int -> ?measure:Combined.measure -> ?jobs:int -> string list -> t
 
 (** [of_values ?n ?measure ?jobs vs] indexes the string renderings of
     [vs], skipping nulls. *)
@@ -50,10 +43,6 @@ val of_values :
   t
 
 val size : t -> int
-
-(** Number of posting shards ([2^shard_bits]); a function of the value
-    count only, never of [jobs]. *)
-val shard_count : t -> int
 
 (** [query t ~km ~threshold s] returns up to [km] stored values with
     similarity ≥ [threshold], best first, ties broken by string order.

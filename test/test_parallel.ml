@@ -44,6 +44,14 @@ let spin_ns ns =
 
 let pool_sizes = [ 1; 2; 4; 8 ]
 
+(* Fans a batch out whose closure captures a fresh array, and leaves a
+   weak pointer to it in [weak]. Kept out of line so no register or
+   stack slot of the caller still holds the array. *)
+let[@inline never] fan_out_capturing weak =
+  let big = Array.make 100_000 1 in
+  Weak.set weak 0 (Some big);
+  ignore (Pool.map (Pool.get 2) (fun i -> i + big.(i)) (Array.init 64 Fun.id))
+
 let pool_tests =
   [
     Alcotest.test_case "map equals Array.map at every size" `Quick (fun () ->
@@ -176,6 +184,23 @@ let pool_tests =
                 end)
               [ 0; 1; 7; 8; 9; 15; 16; 64; 257; 1000 ])
           pool_sizes);
+    Alcotest.test_case "a drained batch releases its closure" `Quick
+      (fun () ->
+        let weak = Weak.create 1 in
+        with_forced_fanout (fun () -> fan_out_capturing weak);
+        (* A worker may still be leaving [participate] with the job on its
+           stack, so give the collection up to a second. *)
+        let deadline = Unix.gettimeofday () +. 1.0 in
+        let rec collected () =
+          Gc.full_major ();
+          Option.is_none (Weak.get weak 0)
+          || Unix.gettimeofday () < deadline
+             && begin
+                  Unix.sleepf 0.01;
+                  collected ()
+                end
+        in
+        Alcotest.(check bool) "captured array collected" true (collected ()));
     Alcotest.test_case "get shares one pool per size" `Quick (fun () ->
         Alcotest.(check bool) "same pool" true (Pool.get 4 == Pool.get 4);
         Alcotest.(check int) "size respected" 4 (Pool.num_domains (Pool.get 4));

@@ -329,41 +329,33 @@ let dedup_tests =
 
 (* {2 Build determinism}
 
-   The sharded build's posting content must be byte-identical whatever
-   the pool size and whichever build strategy ran — the chunked path is
-   forced via DLEARN_SIM_CHUNKED so the pin holds even on single-core
-   hosts where the spare-parallelism rule would pick the direct path. *)
+   The index's posting content must be byte-identical whatever the pool
+   size. Fan-out is forced through the cost model so the parallel gram
+   extraction runs even on single-core hosts, where the pool would
+   otherwise keep every batch inline. *)
 let determinism_tests =
   let module Pool = Dlearn_parallel.Pool in
   let values =
-    (* Enough distinct values to cross the 4096-value chunk size and get
-       a multi-shard index, with repeats to exercise sort_uniq. *)
+    (* Thousands of distinct values, with repeats to exercise
+       sort_uniq. *)
     List.init 9000 (fun i ->
         Printf.sprintf "product %c%d model %d"
           (Char.chr (Char.code 'a' + (i mod 17)))
           (i mod 4111) (i * 31 mod 257))
   in
-  let with_chunked mode f =
-    let previous = Option.value ~default:"" (Sys.getenv_opt "DLEARN_SIM_CHUNKED") in
-    Unix.putenv "DLEARN_SIM_CHUNKED" mode;
-    Fun.protect ~finally:(fun () -> Unix.putenv "DLEARN_SIM_CHUNKED" previous) f
-  in
   [
-    Alcotest.test_case "parallel chunked build equals sequential direct build"
-      `Quick (fun () ->
-        let direct =
-          with_chunked "never" (fun () ->
-              Sim_index.postings_digest (Sim_index.create ~jobs:1 values))
+    Alcotest.test_case
+      "parallel build under forced fan-out equals the sequential build" `Quick
+      (fun () ->
+        let sequential =
+          Sim_index.postings_digest (Sim_index.create ~jobs:1 values)
         in
-        (* Force real fan-out: chunked strategy and a pool that never
-           inlines batches. *)
         Pool.set_cost_model ~fanout_threshold:0 ();
-        let chunked =
+        let parallel =
           Fun.protect ~finally:Pool.reset_cost_model (fun () ->
-              with_chunked "always" (fun () ->
-                  Sim_index.postings_digest (Sim_index.create ~jobs:8 values)))
+              Sim_index.postings_digest (Sim_index.create ~jobs:8 values))
         in
-        Alcotest.(check string) "digest" direct chunked);
+        Alcotest.(check string) "digest" sequential parallel);
     Alcotest.test_case "digest is stable across jobs 1/4/8" `Quick (fun () ->
         let digest jobs =
           Sim_index.postings_digest (Sim_index.create ~jobs values)
@@ -371,18 +363,21 @@ let determinism_tests =
         let d1 = digest 1 in
         Alcotest.(check string) "jobs 4" d1 (digest 4);
         Alcotest.(check string) "jobs 8" d1 (digest 8));
-    Alcotest.test_case "chunked and direct answer queries identically" `Quick
+    Alcotest.test_case
+      "parallel and sequential indexes answer queries identically" `Quick
       (fun () ->
-        let direct = with_chunked "never" (fun () -> Sim_index.create values) in
-        let chunked =
-          with_chunked "always" (fun () -> Sim_index.create values)
+        let sequential = Sim_index.create ~jobs:1 values in
+        Pool.set_cost_model ~fanout_threshold:0 ();
+        let parallel =
+          Fun.protect ~finally:Pool.reset_cost_model (fun () ->
+              Sim_index.create ~jobs:8 values)
         in
         List.iter
           (fun q ->
             Alcotest.(check (list (pair string (float 1e-9))))
               ("query " ^ q)
-              (Sim_index.query direct ~km:5 ~threshold:0.6 q)
-              (Sim_index.query chunked ~km:5 ~threshold:0.6 q))
+              (Sim_index.query sequential ~km:5 ~threshold:0.6 q)
+              (Sim_index.query parallel ~km:5 ~threshold:0.6 q))
           [ "product a100 model 7"; "product q4000"; "unrelated string" ]);
   ]
 
