@@ -8,6 +8,15 @@ open Dlearn_core
 open Dlearn_eval
 open Dlearn_query
 
+(* An unusable argument: one line on stderr naming it, then exit 1, the
+   status [check] exits with when it finds errors. *)
+let input_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("dlearn: " ^ msg);
+      exit 1)
+    fmt
+
 let dataset_names = [ "imdb1"; "imdb3"; "walmart"; "dblp" ]
 
 let make_dataset ?n name =
@@ -17,33 +26,25 @@ let make_dataset ?n name =
   | "walmart" -> Walmart_amazon.generate ?n ()
   | "dblp" -> Dblp_scholar.generate ?n ()
   | other ->
-      raise
-        (Invalid_argument
-           (Printf.sprintf "unknown dataset %s (expected %s)" other
-              (String.concat "/" dataset_names)))
+      input_error "--dataset %S: unknown dataset (expected %s)" other
+        (String.concat ", " dataset_names)
 
-let system_of_string = function
-  | "dlearn" -> Baselines.Dlearn
-  | "nomd" -> Baselines.Castor_nomd
-  | "exact" -> Baselines.Castor_exact
-  | "clean" -> Baselines.Castor_clean
-  | "cfd" -> Baselines.Dlearn_cfd
-  | "repaired" -> Baselines.Dlearn_repaired
-  | other ->
-      raise
-        (Invalid_argument
-           (Printf.sprintf
-              "unknown system %s (expected dlearn/nomd/exact/clean/cfd/repaired)"
-              other))
+let systems =
+  [
+    ("dlearn", Baselines.Dlearn);
+    ("nomd", Baselines.Castor_nomd);
+    ("exact", Baselines.Castor_exact);
+    ("clean", Baselines.Castor_clean);
+    ("cfd", Baselines.Dlearn_cfd);
+    ("repaired", Baselines.Dlearn_repaired);
+  ]
 
-(* An unusable argument: one line on stderr naming it, then exit 1, the
-   status [check] exits with when it finds errors. *)
-let input_error fmt =
-  Printf.ksprintf
-    (fun msg ->
-      prerr_endline ("dlearn: " ^ msg);
-      exit 1)
-    fmt
+let system_of_string name =
+  match List.assoc_opt name systems with
+  | Some system -> system
+  | None ->
+      input_error "--system %S: unknown system (expected %s)" name
+        (String.concat ", " (List.map fst systems))
 
 let parse_clause text =
   match Dlearn_logic.Parser.clause text with
@@ -142,12 +143,14 @@ let learn_cmd =
   in
   let run dataset system n km depth p folds jobs trace report verbose =
     setup_logs verbose;
+    let system = system_of_string system in
+    if folds < 2 then
+      input_error "--folds %d: cross-validation needs at least 2 folds" folds;
     let w = apply_overrides (make_dataset ?n dataset) km depth p in
     let w = match jobs with Some j -> Experiment.with_jobs w j | None -> w in
     let w =
       match trace with Some t -> Experiment.with_trace w (Some t) | None -> w
     in
-    let system = system_of_string system in
     (* Spans short-circuit by default; the report needs their histograms
        fed throughout the run. *)
     if report then Dlearn_obs.Obs.set_metrics true;
@@ -421,6 +424,7 @@ let genscale_cmd =
       & info [ "seed" ] ~docv:"N" ~doc)
   in
   let run dir tuples dirt_rate duplicate_rate zipf_s vocab seed =
+    if tuples <= 0 then input_error "--tuples %d: must be positive" tuples;
     let config =
       {
         Scale_gen.tuples;
@@ -461,10 +465,18 @@ let scan_cmd =
     Arg.(value & opt (some string) None & info [ "relation"; "r" ] ~docv:"NAME" ~doc)
   in
   let run dir relation =
+    let stored =
+      try List.map Schema.name (Storage.manifest dir)
+      with Sys_error msg ->
+        input_error "%s: not a dataset directory (%s)" dir msg
+    in
     let names =
       match relation with
-      | Some name -> [ name ]
-      | None -> List.map Schema.name (Storage.manifest dir)
+      | None -> stored
+      | Some name when List.mem name stored -> [ name ]
+      | Some name ->
+          input_error "--relation %S: not in %s (expected %s)" name dir
+            (String.concat ", " stored)
     in
     List.iter
       (fun name ->

@@ -242,9 +242,8 @@ let covers_positive_cfd_split ?(prefilter = true) ctx prepared e =
 
 (* Whether a batch actually fans out is the pool's call now: its adaptive
    cost model probes the first items inline and keeps cheap batches on
-   the submitting domain (the imdb1 replay in BENCH_coverage.json once
-   ran at 0.42x because tiny batches paid full fan-out overhead). The
-   results are identical either way. *)
+   the submitting domain, so tiny batches never pay full fan-out
+   overhead. The results are identical either way. *)
 let covers_positive_batch ctx prepared es =
   Pool.map_list (Context.pool ctx) (covers_positive ctx prepared) es
 

@@ -153,8 +153,8 @@ val install_env_trace : unit -> unit
 val report : unit -> string
 
 (** The same data as a JSON object:
-    [{"spans": [...], "counters": [...], "gauges": [...]}] — attached to
-    BENCH_*.json by the bench harness. *)
+    [{"spans": [...], "counters": [...], "gauges": [...]}] — the answer
+    of the serve [metrics] op. *)
 val report_json : unit -> string
 
 (** [json_escape s] is [s] escaped for the inside of a JSON string
@@ -172,7 +172,7 @@ val reset : unit -> unit
     [peak_rss_kb ()] reads the process's lifetime peak resident set
     (VmHWM) from [/proc/self/status], in kilobytes — [None] where that
     interface does not exist (non-Linux). Note the value is a high-water
-    mark: phases measured later can only see it grow, so comparative
-    measurements must run the lean phase first (as [bench scale] does for
-    streaming vs. materializing ingestion). *)
+    mark for the whole process: phases measured later can only see it
+    grow, so it cannot compare two phases of one run (the streaming
+    ingestion test compares live words after a full major GC instead). *)
 val peak_rss_kb : unit -> int option

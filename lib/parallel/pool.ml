@@ -21,19 +21,9 @@ module Obs = Dlearn_obs.Obs
    [ewma_item_ns] is a feedback hook fed by every measured batch and
    exposed through {!last_item_cost_ns} for observability. *)
 
-(* Environment overrides (DLEARN_POOL_FANOUT_NS / MIN_CHUNK_NS /
-   PROBE_NS) seed the defaults: an ops knob for odd hosts, and the way
-   to record a demonstrative fan-out trace on a machine where the model
-   would otherwise keep everything inline (FANOUT_NS=0 forces fan-out,
-   skipping both the probe and the spare-parallelism check). *)
-let env_default name fallback =
-  match Sys.getenv_opt name with
-  | None -> fallback
-  | Some s -> ( try int_of_string (String.trim s) with Failure _ -> fallback)
-
-let default_fanout_threshold_ns = env_default "DLEARN_POOL_FANOUT_NS" 100_000
-let default_min_chunk_ns = env_default "DLEARN_POOL_MIN_CHUNK_NS" 20_000
-let default_probe_budget_ns = env_default "DLEARN_POOL_PROBE_NS" 10_000
+let default_fanout_threshold_ns = 100_000
+let default_min_chunk_ns = 20_000
+let default_probe_budget_ns = 10_000
 let fanout_threshold_ns = Atomic.make default_fanout_threshold_ns
 let min_chunk_ns = Atomic.make default_min_chunk_ns
 let probe_budget_ns = Atomic.make default_probe_budget_ns
@@ -453,8 +443,6 @@ let fill pool ~n p =
   buf
 
 let map_list pool f l = Array.to_list (map pool f (Array.of_list l))
-
-let filter_count_list pool p l = filter_count pool p (Array.of_list l)
 
 (* Process-wide pools, one per size, shut down at exit so no domain is
    left blocked on a condition variable when the runtime tears down. *)

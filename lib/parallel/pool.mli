@@ -71,8 +71,6 @@ val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 (** [filter_count pool p arr] is the number of elements satisfying [p]. *)
 val filter_count : t -> ('a -> bool) -> 'a array -> int
 
-val filter_count_list : t -> ('a -> bool) -> 'a list -> int
-
 (** [iter pool f arr] runs [f] on every element, in parallel. *)
 val iter : t -> ('a -> unit) -> 'a array -> unit
 

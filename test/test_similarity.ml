@@ -366,6 +366,9 @@ let determinism_tests =
     Alcotest.test_case
       "parallel and sequential indexes answer queries identically" `Quick
       (fun () ->
+        let queries =
+          [ "product a100 model 7"; "product q4000"; "unrelated string" ]
+        in
         let sequential = Sim_index.create ~jobs:1 values in
         Pool.set_cost_model ~fanout_threshold:0 ();
         let parallel =
@@ -378,7 +381,20 @@ let determinism_tests =
               ("query " ^ q)
               (Sim_index.query sequential ~km:5 ~threshold:0.6 q)
               (Sim_index.query parallel ~km:5 ~threshold:0.6 q))
-          [ "product a100 model 7"; "product q4000"; "unrelated string" ]);
+          queries;
+        (* match_pairs fans its queries out too: the batch answer must not
+           depend on the pool size either. *)
+        let pairs jobs =
+          Sim_index.match_pairs ~jobs ~km:5 ~threshold:0.6 queries values
+        in
+        let sequential_pairs = pairs 1 in
+        Pool.set_cost_model ~fanout_threshold:0 ();
+        let parallel_pairs =
+          Fun.protect ~finally:Pool.reset_cost_model (fun () -> pairs 8)
+        in
+        Alcotest.(check bool) "some pairs" true (sequential_pairs <> []);
+        Alcotest.(check (list (triple string string (float 1e-9))))
+          "match_pairs" sequential_pairs parallel_pairs);
   ]
 
 (* {2 Blocked = brute across thresholds and pool sizes}
