@@ -147,6 +147,13 @@ let learn_cmd =
     if folds < 2 then
       input_error "--folds %d: cross-validation needs at least 2 folds" folds;
     let w = apply_overrides (make_dataset ?n dataset) km depth p in
+    let npos = List.length w.Workload.pos
+    and nneg = List.length w.Workload.neg in
+    if npos < folds || nneg < folds then
+      input_error
+        "--folds %d: %d positive and %d negative examples, and every fold \
+         needs at least one of each"
+        folds npos nneg;
     let w = match jobs with Some j -> Experiment.with_jobs w j | None -> w in
     let w =
       match trace with Some t -> Experiment.with_trace w (Some t) | None -> w
@@ -424,7 +431,6 @@ let genscale_cmd =
       & info [ "seed" ] ~docv:"N" ~doc)
   in
   let run dir tuples dirt_rate duplicate_rate zipf_s vocab seed =
-    if tuples <= 0 then input_error "--tuples %d: must be positive" tuples;
     let config =
       {
         Scale_gen.tuples;
@@ -435,6 +441,9 @@ let genscale_cmd =
         seed;
       }
     in
+    (match Scale_gen.validate config with
+    | Ok () -> ()
+    | Error msg -> input_error "genscale: %s" msg);
     let t0 = Unix.gettimeofday () in
     let summary = Scale_gen.generate ~config dir in
     let dt = Unix.gettimeofday () -. t0 in

@@ -250,9 +250,8 @@ let learn ctx ~pos ~neg =
   let st = Sat_subsumption.stats () in
   Log.info (fun m ->
       m
-        "sat rescue: %d solves, %d conflicts, %d learned clauses, %d \
-         reused-clause hits"
-        st.solves st.conflicts st.learned st.reused_clause_hits);
+        "sat rescue: %d solves, %d conflicts, %d learned clauses"
+        st.solves st.conflicts st.learned);
   {
     definition;
     stats;

@@ -113,14 +113,23 @@ let render_row e =
       Printf.sprintf "%.2f" e.price;
     ]
 
+let validate c =
+  let rate what r =
+    if r >= 0.0 && r <= 1.0 then Ok ()
+    else Error (Printf.sprintf "%s %g: must be in [0, 1]" what r)
+  in
+  if c.tuples <= 0 then
+    Error (Printf.sprintf "tuples %d: must be positive" c.tuples)
+  else if c.vocab < 16 then
+    Error (Printf.sprintf "vocab %d: must be at least 16" c.vocab)
+  else
+    Result.bind (rate "dirt_rate" c.dirt_rate) (fun () ->
+        rate "duplicate_rate" c.duplicate_rate)
+
 let generate ?(config = default) dir =
-  if config.tuples <= 0 then invalid_arg "Scale_gen: tuples must be positive";
-  if config.vocab < 16 then invalid_arg "Scale_gen: vocab must be >= 16";
-  List.iter
-    (fun (what, r) ->
-      if r < 0.0 || r > 1.0 then
-        invalid_arg (Printf.sprintf "Scale_gen: %s must be in [0, 1]" what))
-    [ ("dirt_rate", config.dirt_rate); ("duplicate_rate", config.duplicate_rate) ];
+  (match validate config with
+  | Ok () -> ()
+  | Error msg -> invalid_arg ("Scale_gen: " ^ msg));
   let rng = Random.State.make [| config.seed; 0x5CA1E |] in
   let nouns =
     Array.init config.vocab (fun i -> word ~syls:(2 + (i mod 3)) ((i * 131) + 17))

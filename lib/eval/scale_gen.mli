@@ -44,9 +44,14 @@ val dst_name : string
 (** Position of the [title] attribute in both schemas. *)
 val title_pos : int
 
+(** [validate config] is [Error msg] when a field is out of range —
+    [tuples] not positive, [vocab] below 16, or a rate outside [0, 1] —
+    naming the first such field and its value. *)
+val validate : config -> (unit, string) result
+
 (** [generate ?config dir] writes the dataset into [dir] (created if
     needed) and returns what it wrote. Counter: [scale_gen.rows_written].
-    @raise Invalid_argument on out-of-range config fields. *)
+    @raise Invalid_argument when {!validate} rejects [config]. *)
 val generate : ?config:config -> string -> summary
 
 val pp_summary : Format.formatter -> summary -> unit

@@ -1,6 +1,6 @@
 (* A compact CDCL core: two-watched-literal propagation, first-UIP
-   learning with backjumping, Luby restarts, incremental assumptions.
-   No clause deletion and no activity heuristic — the subsumption
+   learning with backjumping, Luby restarts, clauses added between
+   solves. No clause deletion and no activity heuristic — the subsumption
    encoder wants a static, caller-controlled decision order so the
    first model is the one its enumeration semantics prescribe. *)
 
@@ -11,11 +11,7 @@ let neg v = (2 * v) + 1
 let negate l = l lxor 1
 let var_of l = l lsr 1
 
-type clause = {
-  mutable lits : int array;
-  learnt : bool;
-  born : int; (* the solve call this clause was learned in; -1 = input *)
-}
+type clause = { lits : int array }
 
 (* Watch lists as growable vectors, filtered in place during
    propagation (MiniSat-style) — cons-rebuilt immutable lists showed up
@@ -61,7 +57,6 @@ type t = {
   mutable n_conflicts : int;
   mutable n_learned : int;
   mutable n_restarts : int;
-  mutable n_reused : int;
   (* conflict-analysis scratch *)
   mutable seen : bool array;
 }
@@ -72,7 +67,6 @@ type stats = {
   conflicts : int;
   learned : int;
   restarts : int;
-  reused_clause_hits : int;
 }
 
 let create () =
@@ -98,7 +92,6 @@ let create () =
     n_conflicts = 0;
     n_learned = 0;
     n_restarts = 0;
-    n_reused = 0;
     seen = Array.make 16 false;
   }
 
@@ -135,8 +128,6 @@ let new_var s =
          (max (2 * n) (2 * len))
          (fun i -> if i < len then s.watches.(i) else new_watchlist ()));
   v
-
-let num_vars s = s.nvars
 
 (* -1 unassigned, 0 false, 1 true — of a literal *)
 let lit_value s l =
@@ -233,13 +224,9 @@ let propagate s =
                   incr j
                 done;
                 w.wlen <- !j;
-                if c.learnt && c.born < s.n_solves then
-                  s.n_reused <- s.n_reused + 1;
                 raise (Conflict c)
             | _ ->
                 s.n_props <- s.n_props + 1;
-                if c.learnt && c.born < s.n_solves then
-                  s.n_reused <- s.n_reused + 1;
                 enqueue s lits.(0) (Some c)
           end
         end
@@ -273,7 +260,7 @@ let add_clause s lits =
           | Some _ -> s.unsat <- true
           | None -> ())
       | _ :: _ :: _ ->
-          let c = { lits = Array.of_list live; learnt = false; born = -1 } in
+          let c = { lits = Array.of_list live } in
           attach s c
   end
 
@@ -352,11 +339,10 @@ let pick_branch s =
   done;
   !found
 
-let solve ?(assumptions = []) ?(conflict_limit = max_int) s =
+let solve ?(conflict_limit = max_int) s =
   if s.unsat then `Unsat
   else begin
     s.n_solves <- s.n_solves + 1;
-    let assumptions = Array.of_list assumptions in
     let conflicts0 = s.n_conflicts in
     let restart_base = 100 in
     let next_restart = ref (restart_base * luby 0) in
@@ -387,9 +373,7 @@ let solve ?(assumptions = []) ?(conflict_limit = max_int) s =
             | [ l ] ->
                 (* root-asserted, so no watches needed — kept in the
                    database only so [learned_clauses] reports it *)
-                s.learnts <-
-                  { lits = [| l |]; learnt = true; born = s.n_solves }
-                  :: s.learnts;
+                s.learnts <- { lits = [| l |] } :: s.learnts;
                 s.n_learned <- s.n_learned + 1;
                 enqueue s l None
             | l0 :: _ :: _ ->
@@ -403,7 +387,7 @@ let solve ?(assumptions = []) ?(conflict_limit = max_int) s =
                 let tmp = arr.(1) in
                 arr.(1) <- arr.(!wi);
                 arr.(!wi) <- tmp;
-                let c = { lits = arr; learnt = true; born = s.n_solves } in
+                let c = { lits = arr } in
                 attach s c;
                 s.learnts <- c :: s.learnts;
                 s.n_learned <- s.n_learned + 1;
@@ -416,35 +400,13 @@ let solve ?(assumptions = []) ?(conflict_limit = max_int) s =
               backtrack s 0
             end
           end
-      | None ->
-          (* decide: pending assumptions first, then the static order *)
-          let next = ref (-2) in
-          while
-            !next = -2 && decision_level s < Array.length assumptions
-          do
-            let p = assumptions.(decision_level s) in
-            match lit_value s p with
-            | 1 -> new_decision_level s (* already satisfied: dummy level *)
-            | 0 -> next := -3 (* assumption failed *)
-            | _ -> next := p
-          done;
-          if !next = -3 then begin
-            backtrack s 0;
-            result := `Unsat
-          end
-          else begin
-            (if !next = -2 then
-               match pick_branch s with
-               | -1 -> next := -4 (* all assigned: model *)
-               | v -> next := (if s.phase.(v) then pos v else neg v));
-            if !next = -4 then begin
-              result := `Sat
-            end
-            else begin
+      | None -> (
+          (* decide in the static order *)
+          match pick_branch s with
+          | -1 -> result := `Sat (* all assigned: model *)
+          | v ->
               new_decision_level s;
-              enqueue s !next None
-            end
-          end
+              enqueue s (if s.phase.(v) then pos v else neg v) None)
     done;
     match !result with
     | `Sat ->
@@ -482,5 +444,4 @@ let stats s =
     conflicts = s.n_conflicts;
     learned = s.n_learned;
     restarts = s.n_restarts;
-    reused_clause_hits = s.n_reused;
   }

@@ -2,11 +2,12 @@
 
     The solver the SAT θ-subsumption rescue instantiates its ground
     encoding into: two-watched-literal unit propagation, first-UIP
-    conflict analysis with backjumping, Luby restarts, and incremental
-    solving under assumptions — clauses learned in one [solve] call stay
-    in the database and keep propagating in every later call, which is
-    what lets refutation work transfer across an ARMG chain
-    (see [docs/SUBSUMPTION.md]).
+    conflict analysis with backjumping and Luby restarts. It is
+    incremental in one direction only: clauses may be added between
+    [solve] calls, and clauses learned in one call stay in the database
+    and keep propagating in every later call — the rescue's CEGAR loop
+    adds blocking clauses and lemmas this way, one rescue call per
+    solver (see [docs/SUBSUMPTION.md]).
 
     Variables are dense non-negative ints handed out by {!new_var}.
     Literals are ints too: [pos v] / [neg v]. There is no clause
@@ -22,8 +23,6 @@ val create : unit -> t
 
 (** Allocate a fresh variable (initial phase hint [false]). *)
 val new_var : t -> int
-
-val num_vars : t -> int
 
 (** {1 Literals} *)
 
@@ -46,13 +45,11 @@ val add_clause : t -> int list -> unit
 
 (** {1 Solving} *)
 
-(** [solve ?assumptions ?conflict_limit s] decides satisfiability under
-    the given assumption literals. [`Limit] is returned when the solve
-    exceeded [conflict_limit] conflicts (the solver stays usable).
-    After [`Sat], {!value} reads the model. Learned clauses persist
-    across calls. *)
-val solve :
-  ?assumptions:int list -> ?conflict_limit:int -> t -> [ `Sat | `Unsat | `Limit ]
+(** [solve ?conflict_limit s] decides satisfiability of the clauses
+    added so far. [`Limit] is returned when the solve exceeded
+    [conflict_limit] conflicts (the solver stays usable). After [`Sat],
+    {!value} reads the model. Learned clauses persist across calls. *)
+val solve : ?conflict_limit:int -> t -> [ `Sat | `Unsat | `Limit ]
 
 (** Model value of a variable after [`Sat]. *)
 val value : t -> int -> bool
@@ -80,9 +77,6 @@ type stats = {
   conflicts : int;
   learned : int;  (** learned clauses added over the solver's lifetime *)
   restarts : int;
-  reused_clause_hits : int;
-      (** propagations or conflicts caused by a clause learned in an
-          {e earlier} [solve] call — cross-solve refutation reuse *)
 }
 
 val stats : t -> stats

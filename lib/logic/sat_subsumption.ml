@@ -8,7 +8,6 @@ module Stats = struct
   let conflicts = Obs.counter "sat.conflicts"
   let learned = Obs.counter "sat.learned_clauses"
   let restarts = Obs.counter "sat.restarts"
-  let reused = Obs.counter "sat.reused_clause_hits"
   let encode_ns = Obs.counter "sat.encode_ns"
   let solve_ns = Obs.counter "sat.solve_ns"
 end
@@ -19,7 +18,6 @@ type stats = {
   conflicts : int;
   learned : int;
   restarts : int;
-  reused_clause_hits : int;
   encode_seconds : float;
   solve_seconds : float;
 }
@@ -31,44 +29,28 @@ let stats () =
     conflicts = Obs.value Stats.conflicts;
     learned = Obs.value Stats.learned;
     restarts = Obs.value Stats.restarts;
-    reused_clause_hits = Obs.value Stats.reused;
     encode_seconds = float_of_int (Obs.value Stats.encode_ns) /. 1e9;
     solve_seconds = float_of_int (Obs.value Stats.solve_ns) /. 1e9;
   }
 
-let reset_stats () =
-  List.iter Obs.reset_counter
-    [
-      Stats.solves; Stats.propagations; Stats.conflicts; Stats.learned;
-      Stats.restarts; Stats.reused; Stats.encode_ns; Stats.solve_ns;
-    ]
-
-(* One registered body literal: its assumption variable plus what the
-   model checker needs to interpret a solution. *)
-type shape =
+(* One registered body literal: what the model checker needs to
+   interpret a solution. *)
+type entry =
   | Gen of {
       sels : int array; (* selector vars, candidate order *)
       cand_d : int array; (* parallel: D literal id, -1 = env branch *)
       cand_binds : (string * int) array array; (* (var, term id) per cand *)
       sim : (Term.t * Term.t) option; (* Sim args, for deferred env eval *)
     }
-  | Check_pending of Literal.t (* resolved by the residue check on models *)
+  | Check_pending (* resolved by the residue check on models *)
   | Check_done (* ground-decided at registration *)
 
-type entry = { avar : int; shape : shape }
-
+(* One call's encoding: a fresh solver, dropped when the call returns. *)
 type state = {
   solver : Sat_core.t;
-  head : Literal.t; (* the state encodes candidates with this head *)
-  entries : (Literal.t, entry) Hashtbl.t;
   bvars : (string * int, int) Hashtbl.t; (* (C var, D term id) -> sat var *)
   var_terms : (string, int list ref) Hashtbl.t; (* known domain per var *)
-  mutable gvar : int option; (* current solve's blocking guard *)
 }
-
-type cache = { mutable st : state option; lock : Mutex.t }
-
-let new_cache () = { st = None; lock = Mutex.create () }
 
 type view = {
   d_literals : Literal.t array;
@@ -81,21 +63,10 @@ type view = {
   connectivity_ok : int list -> bool;
   attached_repairs : int -> int list;
   resolve_residue : Substitution.t -> Literal.t list -> bool;
-  cache : cache;
 }
 
 exception Exhausted
 exception Head_mismatch
-
-let fresh_state (c : Clause.t) =
-  {
-    solver = Sat_core.create ();
-    head = c.head;
-    entries = Hashtbl.create 32;
-    bvars = Hashtbl.create 64;
-    var_terms = Hashtbl.create 16;
-    gvar = None;
-  }
 
 (* Head unification seeds the fixed (var -> term id) bindings, exactly
    as the CSP kernel does: repeated variables need the same interned
@@ -123,9 +94,8 @@ let head_binding view (c : Clause.t) =
   | _ -> None
 
 (* Binding variable for (v, t), created on demand. Creation appends the
-   at-most-one-term clauses against the variable's known domain — these
-   are globally sound ("θ is a function"), so they accumulate safely
-   across candidates. *)
+   at-most-one-term clauses against the variable's known domain ("θ is
+   a function"). *)
 let bvar st (v : string) (t : int) =
   match Hashtbl.find_opt st.bvars (v, t) with
   | Some x -> x
@@ -293,13 +263,11 @@ let eval_check_setup view head_tbl l =
       | _ -> `Unknown)
   | _ -> `Unknown
 
-(* Conditional pair clauses for a pending check over the sides' known
-   domains: sound regardless of which candidate is active (they only say
-   "if this check is asserted and θ binds these two values, the check
-   fails"), so they persist across the chain. Bounded to keep the
+(* Pair clauses for a pending check over the sides' known domains: θ
+   must not bind two values the check refutes. Bounded to keep the
    encoding from going quadratic on huge domains — the model checker
    covers whatever is skipped. *)
-let check_pair_clauses view st head_tbl avar l =
+let check_pair_clauses view st head_tbl l =
   let holds a b =
     match l with
     | Literal.Eq _ -> Clause_env.eq view.env a b
@@ -330,8 +298,7 @@ let check_pair_clauses view st head_tbl avar l =
           (fun t ->
             let tv = view.term_tab.(t) in
             if (not (Term.is_var tv)) && not (holds tx tv) then
-              Sat_core.add_clause st.solver
-                [ Sat_core.neg avar; Sat_core.neg (bvar st v t) ])
+              Sat_core.add_clause st.solver [ Sat_core.neg (bvar st v t) ])
           dom
   | `Free (vx, domx), `Free (vy, domy) ->
       if List.length domx * List.length domy <= 400 then
@@ -345,63 +312,51 @@ let check_pair_clauses view st head_tbl avar l =
                   if (not (Term.is_var tty)) && not (holds ttx tty) then
                     Sat_core.add_clause st.solver
                       [
-                        Sat_core.neg avar;
                         Sat_core.neg (bvar st vx tx);
                         Sat_core.neg (bvar st vy ty);
                       ])
                 domy)
           domx
 
-(* Register a body literal into the shared solver: assumption var,
-   selectors, selection and binding clauses. Idempotent per literal —
-   an ARMG sibling sharing the literal reuses the whole block, and any
-   conflict clauses learned about it. *)
+(* Register a body literal into the solver: selectors, selection and
+   binding clauses. A check already false at setup makes the solver
+   unsat through the empty clause. *)
 let register view st head_tbl spend (l : Literal.t) =
-  match Hashtbl.find_opt st.entries l with
-  | Some e -> e
-  | None ->
-      let solver = st.solver in
-      let e =
-        match l with
-        | Literal.Eq _ | Literal.Neq _ -> (
-            let avar = Sat_core.new_var solver in
-            match eval_check_setup view head_tbl l with
-            | `Sat -> { avar; shape = Check_done }
-            | `Unsat ->
-                Sat_core.add_clause solver [ Sat_core.neg avar ];
-                { avar; shape = Check_done }
-            | `Unknown ->
-                check_pair_clauses view st head_tbl avar l;
-                { avar; shape = Check_pending l })
-        | _ ->
-            let cands, sim = candidates view head_tbl spend l in
-            let avar = Sat_core.new_var solver in
-            let n = List.length cands in
-            let sels = Array.init n (fun _ -> Sat_core.new_var solver) in
-            let cand_d = Array.make n (-1) in
-            let cand_binds = Array.make n [||] in
-            List.iteri
-              (fun k (d_id, binds) ->
-                cand_d.(k) <- d_id;
-                cand_binds.(k) <- binds;
-                (* selecting a candidate commits its bindings *)
-                Array.iter
-                  (fun (v, t) ->
-                    Sat_core.add_clause solver
-                      [ Sat_core.neg sels.(k); Sat_core.pos (bvar st v t) ])
-                  binds)
-              cands;
-            (* at least one candidate when the literal is asserted *)
-            Sat_core.add_clause solver
-              (Sat_core.neg avar
-              :: List.map (fun s -> Sat_core.pos s) (Array.to_list sels));
-            at_most_one st sels;
-            { avar; shape = Gen { sels; cand_d; cand_binds; sim } }
-      in
-      Hashtbl.add st.entries l e;
-      e
+  let solver = st.solver in
+  match l with
+  | Literal.Eq _ | Literal.Neq _ -> (
+      match eval_check_setup view head_tbl l with
+      | `Sat -> Check_done
+      | `Unsat ->
+          Sat_core.add_clause solver [];
+          Check_done
+      | `Unknown ->
+          check_pair_clauses view st head_tbl l;
+          Check_pending)
+  | _ ->
+      let cands, sim = candidates view head_tbl spend l in
+      let n = List.length cands in
+      let sels = Array.init n (fun _ -> Sat_core.new_var solver) in
+      let cand_d = Array.make n (-1) in
+      let cand_binds = Array.make n [||] in
+      List.iteri
+        (fun k (d_id, binds) ->
+          cand_d.(k) <- d_id;
+          cand_binds.(k) <- binds;
+          (* selecting a candidate commits its bindings *)
+          Array.iter
+            (fun (v, t) ->
+              Sat_core.add_clause solver
+                [ Sat_core.neg sels.(k); Sat_core.pos (bvar st v t) ])
+            binds)
+        cands;
+      (* at least one candidate *)
+      Sat_core.add_clause solver
+        (List.map (fun s -> Sat_core.pos s) (Array.to_list sels));
+      at_most_one st sels;
+      Gen { sels; cand_d; cand_binds; sim }
 
-(* Model interpretation: θ from the selected candidates of the asserted
+(* Model interpretation: θ from the selected candidates of the body
    literals (plus the head seeds) — binding variables are auxiliary and
    never enter the witness, mirroring the other searches where θ
    holds exactly the search's bindings. Returns the substitution, the
@@ -412,7 +367,7 @@ let extract view st head_tbl actives =
   let selected =
     List.filter_map
       (fun (l, e) ->
-        match e.shape with
+        match e with
         | Gen g ->
             let k = ref (-1) in
             Array.iteri
@@ -502,41 +457,31 @@ let subsumes ?(budget = 200_000) ?(repair_connectivity = true) (view : view)
   in
   match head_binding view c with
   | None -> `Not_subsumed
-  | Some head_tbl ->
-      let run () =
-        let st =
-          match view.cache.st with
-          | Some st when st.head = c.head -> st
-          | _ ->
-              let st = fresh_state c in
-              view.cache.st <- Some st;
-              st
-        in
-        let solver = st.solver in
-        let s0 = Sat_core.stats solver in
-        let last_conflicts = ref s0.conflicts in
-        (* retire the previous solve's blocking guard: its clauses were
-           specific to that solve's asserted-literal set *)
-        (match st.gvar with
-        | Some g ->
-            Sat_core.add_clause solver [ Sat_core.neg g ];
-            st.gvar <- None
-        | None -> ());
+  | Some head_tbl -> (
+      let solver = Sat_core.create () in
+      let st =
+        { solver; bvars = Hashtbl.create 64; var_terms = Hashtbl.create 16 }
+      in
+      try
+        (* the distinct body literals in body order, each registered once *)
         let entries =
-          List.map (fun l -> (l, register view st head_tbl spend l)) c.body
+          let seen = Hashtbl.create 32 in
+          List.filter_map
+            (fun l ->
+              if Hashtbl.mem seen l then None
+              else begin
+                Hashtbl.add seen l ();
+                Some (l, register view st head_tbl spend l)
+              end)
+            c.body
         in
-        (* one assumption per distinct body literal *)
-        let avars =
-          List.sort_uniq compare (List.map (fun (_, e) -> e.avar) entries)
-        in
-        let assumptions = ref (List.map Sat_core.pos avars) in
-        (* decision order: the asserted literals' selectors in body
-           order, candidate order within a literal, preferred phase true
-           — the first model follows the reference enumeration *)
+        (* decision order: the selectors in body order, candidate order
+           within a literal, preferred phase true — the first model
+           follows the reference enumeration *)
         let prio = ref [] in
         List.iter
           (fun (_, e) ->
-            match e.shape with
+            match e with
             | Gen g ->
                 Array.iter
                   (fun s ->
@@ -551,46 +496,21 @@ let subsumes ?(budget = 200_000) ?(repair_connectivity = true) (view : view)
         let t_solve = Unix.gettimeofday () in
         let pending_checks =
           List.filter_map
-            (fun (l, e) ->
-              match e.shape with Check_pending _ -> Some l | _ -> None)
+            (fun (l, e) -> match e with Check_pending -> Some l | _ -> None)
             entries
-        in
-        let guard () =
-          match st.gvar with
-          | Some g -> g
-          | None ->
-              let g = Sat_core.new_var solver in
-              st.gvar <- Some g;
-              assumptions := Sat_core.pos g :: !assumptions;
-              g
         in
         (* Repair connectivity (Definition 4.4), encoded up front: a
            model selecting a candidate onto a non-repair D literal must
            also map every repair attached to it, and likewise for the
-           always-mapped head. The "some selector maps onto r"
-           disjunctions range only over THIS solve's literal set — they
-           grow as later candidates register literals — so the clauses
-           are gated by the per-solve guard and retired with it. Without
-           them the CEGAR loop excludes connectivity-violating models
-           one blocking clause at a time, which enumerates forever on
-           repair-heavy targets; the model check below stays as a
-           belt-and-braces backstop. *)
+           always-mapped head. Without these clauses the CEGAR loop
+           excludes connectivity-violating models one blocking clause at
+           a time, which enumerates forever on repair-heavy targets; the
+           model check below stays as a belt-and-braces backstop. *)
         if repair_connectivity then begin
-          let uniq_entries =
-            let seen = Hashtbl.create 16 in
-            List.filter
-              (fun (_, e) ->
-                if Hashtbl.mem seen e.avar then false
-                else begin
-                  Hashtbl.add seen e.avar ();
-                  true
-                end)
-              entries
-          in
           let onto : (int, int list ref) Hashtbl.t = Hashtbl.create 16 in
           List.iter
             (fun (_, e) ->
-              match e.shape with
+              match e with
               | Gen g ->
                   Array.iteri
                     (fun k d_id ->
@@ -600,21 +520,17 @@ let subsumes ?(budget = 200_000) ?(repair_connectivity = true) (view : view)
                         | None -> Hashtbl.add onto d_id (ref [ g.sels.(k) ]))
                     g.cand_d
               | _ -> ())
-            uniq_entries;
+            entries;
           let sels_onto r =
             match Hashtbl.find_opt onto r with
             | Some l -> List.rev_map Sat_core.pos !l
             | None -> []
           in
-          let emit prefix r =
-            let gv = guard () in
-            Sat_core.add_clause solver
-              (Sat_core.neg gv :: (prefix @ sels_onto r))
-          in
+          let emit prefix r = Sat_core.add_clause solver (prefix @ sels_onto r) in
           List.iter (fun r -> emit [] r) (view.attached_repairs 0);
           List.iter
             (fun (_, e) ->
-              match e.shape with
+              match e with
               | Gen g ->
                   Array.iteri
                     (fun k d_id ->
@@ -624,19 +540,17 @@ let subsumes ?(budget = 200_000) ?(repair_connectivity = true) (view : view)
                           (view.attached_repairs d_id))
                     g.cand_d
               | _ -> ())
-            uniq_entries
+            entries
         end;
+        let last_conflicts = ref 0 in
         let rec cegar () =
           spend 1;
-          match
-            Sat_core.solve ~assumptions:!assumptions
-              ~conflict_limit:(max 1 !budget) solver
-          with
+          match Sat_core.solve ~conflict_limit:(max 1 !budget) solver with
           | `Limit -> raise Exhausted
           | (`Unsat | `Sat) as r -> (
-              let s1 = Sat_core.stats solver in
-              spend (s1.conflicts - !last_conflicts);
-              last_conflicts := s1.conflicts;
+              let conflicts = (Sat_core.stats solver).conflicts in
+              spend (conflicts - !last_conflicts);
+              last_conflicts := conflicts;
               match r with
               | `Unsat -> `Not_subsumed
               | `Sat ->
@@ -647,7 +561,7 @@ let subsumes ?(budget = 200_000) ?(repair_connectivity = true) (view : view)
                   (* deferred environment similarity branches *)
                   List.iter
                     (fun (_, e, k) ->
-                      match e.shape with
+                      match e with
                       | Gen g when g.cand_d.(k) < 0 -> (
                           match g.sim with
                           | Some (x, y)
@@ -674,34 +588,29 @@ let subsumes ?(budget = 200_000) ?(repair_connectivity = true) (view : view)
                     ok := false;
                     (* lemmatize the individually refutable checks *)
                     List.iter
-                      (fun (l, e) ->
-                        match e.shape with
-                        | Check_pending _ -> (
-                            match eval_check_model view head_tbl bind_tbl l with
-                            | Some false -> (
-                                let x, y =
-                                  match l with
-                                  | Literal.Eq (x, y) | Literal.Neq (x, y) ->
-                                      (x, y)
-                                  | _ -> assert false
-                                in
-                                match
-                                  ( side_lits st head_tbl bind_tbl x,
-                                    side_lits st head_tbl bind_tbl y )
-                                with
-                                | Some lx, Some ly ->
-                                    Sat_core.add_clause solver
-                                      (Sat_core.neg e.avar :: (lx @ ly))
-                                | _ -> ())
+                      (fun l ->
+                        match eval_check_model view head_tbl bind_tbl l with
+                        | Some false -> (
+                            let x, y =
+                              match l with
+                              | Literal.Eq (x, y) | Literal.Neq (x, y) -> (x, y)
+                              | _ -> assert false
+                            in
+                            match
+                              ( side_lits st head_tbl bind_tbl x,
+                                side_lits st head_tbl bind_tbl y )
+                            with
+                            | Some lx, Some ly ->
+                                Sat_core.add_clause solver (lx @ ly)
                             | _ -> ())
                         | _ -> ())
-                      entries
+                      pending_checks
                   end;
                   (* repair connectivity on the mapped image *)
                   let image =
                     List.filter_map
                       (fun (_, e, k) ->
-                        match e.shape with
+                        match e with
                         | Gen g when g.cand_d.(k) >= 0 -> Some g.cand_d.(k)
                         | _ -> None)
                       selected
@@ -710,34 +619,26 @@ let subsumes ?(budget = 200_000) ?(repair_connectivity = true) (view : view)
                   then ok := false;
                   if !ok then `Subsumed theta
                   else begin
-                    (* block this exact selection for the rest of this
-                       solve — guarantees CEGAR progress even when no
-                       reusable lemma applied *)
-                    let g = guard () in
+                    (* block this exact selection — guarantees CEGAR
+                       progress even when no reusable lemma applied *)
                     Sat_core.add_clause solver
-                      (Sat_core.neg g
-                      :: List.map
-                           (fun (_, e, k) ->
-                             match e.shape with
-                             | Gen gg -> Sat_core.neg gg.sels.(k)
-                             | _ -> assert false)
-                           selected);
+                      (List.map
+                         (fun (_, e, k) ->
+                           match e with
+                           | Gen g -> Sat_core.neg g.sels.(k)
+                           | _ -> assert false)
+                         selected);
                     cegar ()
                   end)
         in
         let outcome = cegar () in
-        let s1 = Sat_core.stats solver in
-        Obs.add Stats.solves (s1.solves - s0.solves);
-        Obs.add Stats.propagations (s1.propagations - s0.propagations);
-        Obs.add Stats.conflicts (s1.conflicts - s0.conflicts);
-        Obs.add Stats.learned (s1.learned - s0.learned);
-        Obs.add Stats.restarts (s1.restarts - s0.restarts);
-        Obs.add Stats.reused (s1.reused_clause_hits - s0.reused_clause_hits);
+        let s = Sat_core.stats solver in
+        Obs.add Stats.solves s.solves;
+        Obs.add Stats.propagations s.propagations;
+        Obs.add Stats.conflicts s.conflicts;
+        Obs.add Stats.learned s.learned;
+        Obs.add Stats.restarts s.restarts;
         Obs.add Stats.solve_ns
           (int_of_float ((Unix.gettimeofday () -. t_solve) *. 1e9));
         outcome
-      in
-      Mutex.lock view.cache.lock;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock view.cache.lock)
-        (fun () -> try run () with Exhausted -> `Budget_exhausted)
+      with Exhausted -> `Budget_exhausted)

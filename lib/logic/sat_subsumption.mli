@@ -1,5 +1,5 @@
-(** The SAT rescue of θ-subsumption: ground instantiation into an
-    incremental CDCL solver ({!Sat_core}). The CSP kernel of
+(** The SAT rescue of θ-subsumption: ground instantiation into a CDCL
+    solver ({!Sat_core}). The CSP kernel of
     {!Subsumption} hands it the instances whose first witness fails the
     repair-connectivity condition.
 
@@ -15,15 +15,11 @@
     similarity branches, repair connectivity — and blocks or lemmatizes
     refuted models.
 
-    The solver is {e reused} across the ARMG chain: candidates sharing a
-    head against the same target are encoded into one growing solver,
-    every body literal guarded by its own assumption variable, and a
-    solve assumes exactly the current candidate's literal set. Conflict
-    clauses learned refuting one candidate stay in the database and
-    prune every later candidate that shares literals (counted by
-    [sat.reused_clause_hits]). A candidate solved on a freshly prepared
-    target gets the same verdict (pinned by test). See
-    [docs/SUBSUMPTION.md]. *)
+    Each call encodes its candidate into a fresh solver and drops it on
+    return, so a rescue leaves the target unchanged and calls against
+    one target need no lock. Every clause is added unconditionally;
+    clauses learned in one CEGAR round keep pruning the later rounds of
+    the same call. See [docs/SUBSUMPTION.md]. *)
 
 (** A target clause D as the encoder needs it — the fields of
     [Subsumption]'s prepared target plus closures over its private
@@ -44,14 +40,7 @@ type view = {
           literals); id 0 gives the head's obligations *)
   resolve_residue : Substitution.t -> Literal.t list -> bool;
       (** the shared union-find / fresh-constant Eq-Neq residue check *)
-  cache : cache;
 }
-
-(** Per-target solver cache, threaded through [Subsumption.prepare] so
-    the ARMG chain against one example shares a solver. Thread-safe. *)
-and cache
-
-val new_cache : unit -> cache
 
 val subsumes :
   ?budget:int ->
@@ -62,20 +51,15 @@ val subsumes :
 
 (** Process-wide counters, aggregated on the [sat.*] Obs registry names
     (see docs/OBSERVABILITY.md). [solves] counts solver invocations
-    (CEGAR iterations included); [reused_clause_hits] counts
-    propagations or conflicts caused by clauses learned in an earlier
-    solve — the cross-candidate refutation-sharing signal. *)
+    (CEGAR iterations included). *)
 type stats = {
   solves : int;
   propagations : int;
   conflicts : int;
   learned : int;
   restarts : int;
-  reused_clause_hits : int;
   encode_seconds : float;
   solve_seconds : float;
 }
 
 val stats : unit -> stats
-
-val reset_stats : unit -> unit

@@ -29,9 +29,6 @@ type target = {
       (* per D literal, its key terms (arguments; subject/replacement for
          repairs) as term ids — the kernel matches on these ints and never
          re-reads the literals *)
-  sat_cache : Sat_subsumption.cache;
-      (* the per-target incremental solver of the SAT rescue, shared by
-         every candidate of the ARMG chain tested against this target *)
 }
 
 let literal_key_terms = function
@@ -184,7 +181,6 @@ let prepare (d : Clause.t) =
     attached_repairs = repair_connectivity_sets d_literals;
     term_tab = Array.of_list (List.rev !terms_rev);
     key_tids;
-    sat_cache = Sat_subsumption.new_cache ();
   }
 
 (* A constant of C matches a term of D when they are equal, or when D's
@@ -497,7 +493,6 @@ let sat_view (t : target) : Sat_subsumption.view =
           (List.fold_left (fun s i -> IntSet.add i s) IntSet.empty ids));
     attached_repairs = (fun id -> IntSet.elements t.attached_repairs.(id));
     resolve_residue = (fun theta checks -> resolve_checks t theta checks);
-    cache = t.sat_cache;
   }
 
 let subsumes_target_sat ?budget ?repair_connectivity (c : Clause.t)
@@ -543,13 +538,6 @@ let stats () =
     setup_seconds = float_of_int (Obs.value Stats.setup_ns) /. 1e9;
     search_seconds = float_of_int (Obs.value Stats.search_ns) /. 1e9;
   }
-
-let reset_stats () =
-  List.iter Obs.reset_counter
-    [
-      Stats.solves; Stats.nodes; Stats.propagations; Stats.wipeouts;
-      Stats.setup_ns; Stats.search_ns;
-    ]
 
 let log_stats () =
   let s = stats () in
@@ -1323,9 +1311,7 @@ let subsumes_target ?(budget = 200_000) ?(repair_connectivity = true)
                  connectivity condition. Delegated to the SAT rescue:
                  its connectivity clauses decide these instances orders
                  of magnitude faster than the exhaustive re-search of
-                 [search_exhaustive] (the per-target solver is shared,
-                 so encodings and learned clauses amortize across an
-                 ARMG chain that keeps landing here). *)
+                 [search_exhaustive]. *)
               record
                 (subsumes_target_sat ~budget:(max 1 !budget)
                    ~repair_connectivity:true c target)

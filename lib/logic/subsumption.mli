@@ -21,9 +21,9 @@
     assignment, and selects literals by minimum remaining domain within
     dynamically recomputed connected components. When the first witness
     fails the repair-connectivity condition, the kernel hands the
-    instance to {!Sat_subsumption}, a ground instantiation into an
-    incremental CDCL solver reused across the ARMG chain, whose search
-    backtracks through that condition.
+    instance to {!Sat_subsumption}, a ground instantiation into a fresh
+    CDCL solver per call, whose search backtracks through that
+    condition.
 
     The search is bounded by a step budget for pathological inputs and
     is property-tested against the SAT rescue alone and against
@@ -92,8 +92,8 @@ val subsumes_naive :
   ?budget:int -> ?repair_connectivity:bool -> Clause.t -> Clause.t -> outcome
 
 (** [subsumes_target_sat ?budget ?repair_connectivity c t] decides
-    [c ⊆θ D] with the SAT rescue alone ({!Sat_subsumption}, solver shared
-    per target). {!subsumes_target} calls it only when its first witness
+    [c ⊆θ D] with the SAT rescue alone ({!Sat_subsumption}, a fresh
+    solver per call). {!subsumes_target} calls it only when its first witness
     fails the repair-connectivity condition; it is exported so the
     differential tests can run it on every instance. *)
 val subsumes_target_sat :
@@ -114,8 +114,6 @@ type stats = {
 }
 
 val stats : unit -> stats
-
-val reset_stats : unit -> unit
 
 (** [log_stats ()] reports the accumulated counters at info level on the
     [dlearn.subsumption] source. *)

@@ -399,23 +399,6 @@ let iter pool f arr =
   else if sequential pool then run 0 n
   else run_from pool ~t0:(Obs.now_ns ()) ~start:0 run n
 
-let filter_count pool p arr =
-  let n = Array.length arr in
-  if sequential pool then
-    Array.fold_left (fun acc x -> if p x then acc + 1 else acc) 0 arr
-  else begin
-    let total = Atomic.make 0 in
-    let run lo hi =
-      let count = ref 0 in
-      for j = lo to hi - 1 do
-        if p arr.(j) then incr count
-      done;
-      if !count > 0 then ignore (Atomic.fetch_and_add total !count)
-    in
-    if n > 0 then run_from pool ~t0:(Obs.now_ns ()) ~start:0 run n;
-    Atomic.get total
-  end
-
 (* Pack [p 0 .. p (n-1)] into a fresh bit buffer, bit [i] at byte
    [i lsr 3] / position [i land 7]. Work items are whole bytes, so no
    two domains ever read-modify-write the same byte — plain writes are

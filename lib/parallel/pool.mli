@@ -26,8 +26,7 @@
     - {b Deterministic ordering}: [map] writes each result at its input
       index, so the output is identical to the sequential [Array.map]
       regardless of which domain computed which chunk — and regardless of
-      how the probe / inline / fan-out decision falls. [filter_count]
-      returns the same count as the sequential filter.
+      how the probe / inline / fan-out decision falls.
     - {b Exception propagation}: if any item raises, one of the raised
       exceptions is re-raised (with its backtrace) in the submitting
       domain. Items run inline (probe or inline finish) raise directly;
@@ -67,9 +66,6 @@ val in_worker : unit -> bool
 val map : t -> ('a -> 'b) -> 'a array -> 'b array
 
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
-
-(** [filter_count pool p arr] is the number of elements satisfying [p]. *)
-val filter_count : t -> ('a -> bool) -> 'a array -> int
 
 (** [iter pool f arr] runs [f] on every element, in parallel. *)
 val iter : t -> ('a -> unit) -> 'a array -> unit

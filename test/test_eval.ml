@@ -454,8 +454,12 @@ let scale_gen_tests =
               true
               (8 * streamed < materialized)));
     Alcotest.test_case "invalid configs are rejected" `Quick (fun () ->
+        Alcotest.(check bool) "default validates" true
+          (Scale_gen.validate Scale_gen.default = Ok ());
         List.iter
           (fun config ->
+            Alcotest.(check bool) "validate errors" true
+              (Result.is_error (Scale_gen.validate config));
             with_temp_dir (fun dir ->
                 Alcotest.(check bool) "raises" true
                   (try

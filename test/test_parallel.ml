@@ -74,20 +74,6 @@ let pool_tests =
         Alcotest.(check (list int))
           "same order" (List.map succ l)
           (Pool.map_list pool succ l));
-    Alcotest.test_case "filter_count equals sequential count" `Quick (fun () ->
-        List.iter
-          (fun n ->
-            let pool = Pool.get n in
-            let arr = Array.init 1000 (fun i -> i) in
-            let p x = x mod 3 = 0 in
-            let expected =
-              Array.fold_left (fun acc x -> if p x then acc + 1 else acc) 0 arr
-            in
-            Alcotest.(check int)
-              (Printf.sprintf "pool %d" n)
-              expected
-              (Pool.filter_count pool p arr))
-          pool_sizes);
     Alcotest.test_case "iter visits every element once" `Quick (fun () ->
         let pool = Pool.get 4 in
         let counters = Array.init 500 (fun _ -> Atomic.make 0) in
@@ -117,10 +103,9 @@ let pool_tests =
                   (Printf.sprintf "pool %d re-raises" n)
                   true raised;
                 (* The pool survives a failed batch. *)
-                Alcotest.(check int) "still works" 10
-                  (Pool.filter_count pool
-                     (fun x -> x < 10)
-                     (Array.init 100 (fun i -> i))))
+                Alcotest.(check (array int)) "still works"
+                  (Array.init 100 succ)
+                  (Pool.map pool succ (Array.init 100 (fun i -> i))))
               pool_sizes));
     Alcotest.test_case "nested submission falls back sequentially" `Quick
       (fun () ->

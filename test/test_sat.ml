@@ -1,9 +1,8 @@
 (* Tests for the SAT θ-subsumption rescue: the CDCL core in isolation
-   (unit propagation, conflict analysis, incremental assumptions), the
-   learned-clause soundness property, witness soundness of
-   [Subsumption.subsumes_target_sat] against the naive oracle, and the
-   cross-candidate clause-reuse behaviour the incremental encoding exists
-   for. *)
+   (unit propagation, conflict analysis, clauses added between solves),
+   the learned-clause soundness property, witness soundness of
+   [Subsumption.subsumes_target_sat] against the naive oracle, and that a
+   rescue leaves its prepared target unchanged. *)
 
 open Dlearn_logic
 module S = Sat_core
@@ -33,40 +32,23 @@ let core_tests =
           ((S.stats sv).S.propagations >= 2));
     Alcotest.test_case "conflict analysis learns the asserting clause" `Quick
       (fun () ->
-        (* Assuming a with (¬a∨b) and (¬a∨¬b) conflicts at the assumption
-           level; first-UIP must learn the unit ¬a, after which solving
-           without assumptions yields a model with a false. *)
+        (* Deciding a = true first with (¬a∨b) and (¬a∨¬b) conflicts at
+           level 1; first-UIP must learn the unit ¬a, backjump to the
+           root, and finish with a model where a is false. *)
         let sv = S.create () in
         let a = S.new_var sv and b = S.new_var sv in
         S.add_clause sv [ S.neg a; S.pos b ];
         S.add_clause sv [ S.neg a; S.neg b ];
-        Alcotest.(check bool) "unsat under a" true
-          (S.solve ~assumptions:[ S.pos a ] sv = `Unsat);
+        S.set_priority sv [| a |];
+        S.set_phase sv a true;
+        Alcotest.(check bool) "sat" true (S.solve sv = `Sat);
+        Alcotest.(check int) "one conflict" 1 (S.stats sv).S.conflicts;
         Alcotest.(check bool) "learned ¬a" true
           (List.exists
              (fun cl -> cl = [| S.neg a |])
              (S.learned_clauses sv));
-        Alcotest.(check bool) "sat without assumptions" true
-          (S.solve sv = `Sat);
         Alcotest.(check bool) "a pinned false by the learned unit" true
           (not (S.value sv a)));
-    Alcotest.test_case "assumptions retract cleanly across solves" `Quick
-      (fun () ->
-        let sv = S.create () in
-        let x = S.new_var sv and y = S.new_var sv and z = S.new_var sv in
-        S.add_clause sv [ S.pos x; S.pos y ];
-        S.add_clause sv [ S.neg x; S.pos z ];
-        Alcotest.(check bool) "sat under ¬y" true
-          (S.solve ~assumptions:[ S.neg y ] sv = `Sat);
-        Alcotest.(check bool) "x forced" true (S.value sv x);
-        Alcotest.(check bool) "z forced" true (S.value sv z);
-        Alcotest.(check bool) "sat under ¬x" true
-          (S.solve ~assumptions:[ S.neg x ] sv = `Sat);
-        Alcotest.(check bool) "y forced" true (S.value sv y);
-        Alcotest.(check bool) "unsat under ¬x ¬y" true
-          (S.solve ~assumptions:[ S.neg x; S.neg y ] sv = `Unsat);
-        Alcotest.(check bool) "still usable afterwards" true
-          (S.solve sv = `Sat));
     Alcotest.test_case "conflict limit leaves the solver usable" `Quick
       (fun () ->
         (* Pigeonhole 3-into-2, pure search. A 1-conflict budget may or
@@ -98,15 +80,15 @@ let cnf_arb =
     let* n = 4 -- 9 in
     let lit = pair (0 -- (n - 1)) bool in
     let* clauses = list_size (5 -- 40) (list_size (1 -- 3) lit) in
-    let* assumps = list_size (0 -- 3) lit in
-    return (n, clauses, assumps)
+    let* units = list_size (0 -- 3) lit in
+    return (n, clauses, units)
   in
-  let print (n, clauses, assumps) =
+  let print (n, clauses, units) =
     let lit (v, sg) = Printf.sprintf "%s%d" (if sg then "" else "-") v in
-    Printf.sprintf "n=%d cnf=[%s] assume=[%s]" n
+    Printf.sprintf "n=%d cnf=[%s] then=[%s]" n
       (String.concat "; "
          (List.map (fun c -> String.concat " " (List.map lit c)) clauses))
-      (String.concat " " (List.map lit assumps))
+      (String.concat " " (List.map lit units))
   in
   QCheck.make ~print gen
 
@@ -131,24 +113,23 @@ let learned_clause_tests =
       (QCheck.Test.make
          ~name:
            "models satisfy the formula; learned clauses are implied by it"
-         ~count:500 cnf_arb (fun (n, clauses, assumps) ->
+         ~count:500 cnf_arb (fun (n, clauses, units) ->
            let sv = build_solver n clauses in
-           (match S.solve ~assumptions:(List.map to_lit assumps) sv with
-           | `Sat ->
-               assert (model_satisfies sv clauses);
-               assert (
-                 List.for_all
-                   (fun (var, sign) -> S.value sv var = sign)
-                   assumps)
-           | `Unsat | `Limit -> ());
            (match S.solve sv with
            | `Sat -> assert (model_satisfies sv clauses)
            | `Unsat | `Limit -> ());
+           (* Add the units after a first solve, the way the rescue's
+              CEGAR loop adds blocking clauses, and solve again. *)
+           let formula = clauses @ List.map (fun u -> [ u ]) units in
+           List.iter (fun u -> S.add_clause sv [ to_lit u ]) units;
+           (match S.solve sv with
+           | `Sat -> assert (model_satisfies sv formula)
+           | `Unsat | `Limit -> ());
            (* Re-solve the negation of each learned clause against a fresh
-              copy of the original formula: implied ⇔ unsat. *)
+              copy of the formula: implied ⇔ unsat. *)
            List.for_all
              (fun learned ->
-               let fresh = build_solver n clauses in
+               let fresh = build_solver n formula in
                Array.iter
                  (fun l -> S.add_clause fresh [ S.negate l ])
                  learned;
@@ -264,12 +245,11 @@ let witness_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Cross-candidate clause reuse along an ARMG chain                   *)
+(* A rescue leaves its target unchanged                               *)
 (* ------------------------------------------------------------------ *)
 
 (* Bottom clause where p's second column never joins q: refuting
-   p(x,y) ∧ q(y) forces real conflicts, and the clauses learned doing so
-   refute the extended candidate by propagation alone. *)
+   p(x,y) ∧ q(y) forces real conflicts. *)
 let reuse_target () =
   Clause.make
     ~head:(rel "T" [ s "k" ])
@@ -283,6 +263,8 @@ let reuse_target () =
       rel "r" [ s "a1" ];
     ]
 
+(* An ARMG-chain-like sequence against one target: a refuted
+   candidate, its refuted extension, and a subsumed generalization. *)
 let chain_candidates () =
   let h = rel "T" [ v "h" ] in
   [
@@ -292,69 +274,25 @@ let chain_candidates () =
     Clause.make ~head:h [ rel "p" [ v "x"; v "y" ] ];
   ]
 
-(* One solve with the reused-clause hits it caused. *)
-let solve target c =
-  let before = (Sat_subsumption.stats ()).Sat_subsumption.reused_clause_hits in
-  let outcome = Subsumption.subsumes_target_sat c target in
-  let after = (Sat_subsumption.stats ()).Sat_subsumption.reused_clause_hits in
-  (outcome, after - before)
-
-(* The chain on one shared target: its solver, encodings and learned
-   clauses carry over from candidate to candidate. *)
-let run_chain () =
-  let target = Subsumption.prepare (reuse_target ()) in
-  List.map (solve target) (chain_candidates ())
-
-(* Each candidate on a freshly prepared target, so on a new solver with
-   nothing to reuse. *)
-let run_fresh () =
-  List.map
-    (fun c -> solve (Subsumption.prepare (reuse_target ())) c)
-    (chain_candidates ())
-
-let normalize_outcome = function
-  | Subsumption.Subsumed theta ->
-      `Subsumed
-        (List.sort compare
-           (List.map
-              (fun (x, t) -> (x, Term.to_string t))
-              (Substitution.to_list theta)))
-  | Subsumption.Not_subsumed -> `Not_subsumed
-  | Subsumption.Budget_exhausted -> `Budget_exhausted
-
-let reuse_tests =
+let rescue_tests =
   [
-    Alcotest.test_case
-      "conflict clauses learned on one candidate prune the next" `Quick
+    Alcotest.test_case "a rescue leaves its target unchanged" `Quick
       (fun () ->
-        let results = run_chain () in
-        match results with
-        | [ (o1, hits1); (o2, hits2); (o3, _) ] ->
-            Alcotest.(check bool) "candidate 1 refuted" true
-              (o1 = Subsumption.Not_subsumed);
-            Alcotest.(check int) "no prior clauses on the first candidate" 0
-              hits1;
-            Alcotest.(check bool) "candidate 2 refuted" true
-              (o2 = Subsumption.Not_subsumed);
-            Alcotest.(check bool) "candidate 2 reused learned clauses" true
-              (hits2 > 0);
-            Alcotest.(check bool) "candidate 3 subsumes" true
-              (match o3 with Subsumption.Subsumed _ -> true | _ -> false)
-        | _ -> Alcotest.fail "expected three chain results");
-    Alcotest.test_case "verdicts are identical with reuse and on fresh targets"
-      `Quick (fun () ->
-        let shared = run_chain () in
-        let fresh = run_fresh () in
-        List.iteri
-          (fun i ((o_shared, _), (o_fresh, hits_fresh)) ->
-            Alcotest.(check bool)
-              (Printf.sprintf "candidate %d agrees" (i + 1))
-              true
-              (normalize_outcome o_shared = normalize_outcome o_fresh);
-            Alcotest.(check int)
-              (Printf.sprintf "candidate %d: no reuse on a fresh target" (i + 1))
-              0 hits_fresh)
-          (List.combine shared fresh));
+        let target = Subsumption.prepare (reuse_target ()) in
+        let words () = Obj.reachable_words (Obj.repr target) in
+        let before = words () in
+        let verdicts =
+          List.map
+            (fun c ->
+              match Subsumption.subsumes_target_sat c target with
+              | Subsumption.Subsumed _ -> "subsumed"
+              | Subsumption.Not_subsumed -> "not"
+              | Subsumption.Budget_exhausted -> "exhausted")
+            (chain_candidates ())
+        in
+        Alcotest.(check (list string))
+          "verdicts" [ "not"; "not"; "subsumed" ] verdicts;
+        Alcotest.(check int) "reachable words" before (words ()));
   ]
 
 let () =
@@ -363,5 +301,5 @@ let () =
       ("sat_core", core_tests);
       ("learned clauses", learned_clause_tests);
       ("witness", witness_tests);
-      ("clause reuse", reuse_tests);
+      ("rescue", rescue_tests);
     ]
