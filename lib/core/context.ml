@@ -202,7 +202,7 @@ let is_searchable_attr t rel pos =
 
 (* {2 Monotone cache invalidation}
 
-   A committed tuple delta must not rebuild the context: only the
+   A written tuple delta must not rebuild the context: only the
    examples whose bottom clauses could change re-resolve. An example is
    {e affected} by a changed tuple iff the tuple could enter (or leave)
    its bottom clause, and every route in — the exact index search on a
@@ -218,9 +218,10 @@ let is_searchable_attr t rel pos =
    entries and their bits in every cover-cache entry
    ([Cover_set.invalidate]); similarity indexes over changed relations
    are dropped (their distinct-value sets changed) and rebuild lazily.
-   Everything else — unaffected verdicts, prepared targets, the learned
-   SAT state inside surviving targets — carries across the commit.
-   docs/SERVE.md states the soundness argument in full. *)
+   Everything else — unaffected verdicts, the surviving examples' ground
+   entries with their repair enumerations and prepared targets, memoized
+   ARMG results — carries across the write. docs/SERVE.md states the
+   soundness argument in full. *)
 
 let delta_commits_c = Obs.counter "delta.commits"
 let delta_invalidated_c = Obs.counter "delta.invalidated_examples"

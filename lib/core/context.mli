@@ -88,19 +88,19 @@ val pool : t -> Dlearn_parallel.Pool.t
     request so warm learns are byte-identical to cold runs. *)
 val reset_rng : t -> unit
 
-(** [apply_delta t changes] invalidates exactly the state a committed
+(** [apply_delta t changes] invalidates exactly the state a written
     tuple delta can touch, and returns the number of examples
     invalidated. [changes] lists, per changed relation, every touched
-    tuple (new values for inserts, new and previous for updates —
-    {!Dlearn_relation.Vdb.changed_tuples} produces this shape). An
-    example is invalidated iff some changed value is equal to some
-    constant of its cached ground bottom clause, or — at an attribute
-    position some MD compares — similar to one under that MD's
-    effective operator; a sound over-approximation of "the bottom
+    tuple: the new tuple for an insert, the new and the previous tuple
+    for an update (the serve loop's [insert] and [update] pass exactly
+    these). An example is invalidated iff some changed value is equal
+    to some constant of its cached ground bottom clause, or — at an
+    attribute position some MD compares — similar to one under that
+    MD's effective operator; a sound over-approximation of "the bottom
     clause could change" (docs/SERVE.md): its ground entry and memoized
     ARMG results are dropped and its bits leave every cover-cache
-    entry. Similarity
-    indexes over changed relations are dropped and rebuild lazily.
+    entry. Similarity indexes over changed relations are dropped and
+    rebuild lazily.
     Counters: [delta.commits], [delta.invalidated_examples],
     [delta.sim_indexes_dropped]. Callers must order this against
     concurrent coverage requests (the serve loop holds the writer

@@ -518,6 +518,7 @@ module Stats = struct
   let wipeouts = Obs.counter "subsumption.wipeouts"
   let setup_ns = Obs.counter "subsumption.setup_ns"
   let search_ns = Obs.counter "subsumption.search_ns"
+  let exhausted = Obs.counter "subsumption.exhausted"
 end
 
 type stats = {
@@ -1348,7 +1349,10 @@ let subsumes_naive ?(budget = 200_000) ?(repair_connectivity = true)
         | None -> Not_subsumed
       with Exhausted -> Budget_exhausted)
 
+(* The boolean entry points answer "not covered" for an exhausted
+   budget: count every such verdict so a run can report them. *)
 let report_exhausted c =
+  Obs.incr Stats.exhausted;
   Log.warn (fun m ->
       m "subsumption budget exhausted for %s-clause" (Clause.head_pred c))
 

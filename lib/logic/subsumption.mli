@@ -51,6 +51,8 @@ val subsumes_target :
   target ->
   outcome
 
+(** [subsumes_target_bool c t] is [subsumes_target c t = Subsumed _];
+    like {!subsumes_bool}, it counts budget exhaustion as failure. *)
 val subsumes_target_bool :
   ?budget:int ->
   ?repair_connectivity:bool ->
@@ -71,7 +73,8 @@ val subsumes :
   outcome
 
 (** [subsumes_bool c d] is [subsumes c d = Subsumed _]; budget exhaustion
-    counts as failure and is logged at warning level. *)
+    counts as failure, is logged at warning level and bumps the
+    [subsumption.exhausted] counter. *)
 val subsumes_bool :
   ?budget:int ->
   ?repair_connectivity:bool ->

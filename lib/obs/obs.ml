@@ -102,16 +102,6 @@ let incr m = add m 1
 
 let value (m : counter) = List.fold_left (fun acc c -> acc + c.sum) 0 m.cells
 
-let reset_cells m =
-  List.iter
-    (fun c ->
-      c.count <- 0;
-      c.sum <- 0;
-      c.mn <- max_int;
-      c.mx <- min_int)
-    m.cells
-
-let reset_counter = reset_cells
 let set_gauge (m : gauge) v = m.gauge_v <- v
 let gauge_value (m : gauge) = m.gauge_v
 
@@ -309,13 +299,6 @@ let write_trace path =
         evs;
       output_string oc "\n]}\n")
 
-let install_env_trace () =
-  match Sys.getenv_opt "DLEARN_TRACE" with
-  | Some path when String.trim path <> "" ->
-      start_recording ();
-      at_exit (fun () -> write_trace path)
-  | _ -> ()
-
 (* ------------------------------------------------------------------ *)
 (* Reports.                                                            *)
 
@@ -435,14 +418,6 @@ let report_json () =
     ms;
   Buffer.add_string buf "]}";
   Buffer.contents buf
-
-let reset () =
-  List.iter
-    (fun m ->
-      reset_cells m;
-      m.gauge_v <- 0.0)
-    (metrics_sorted ());
-  clear_events ()
 
 (* {2 Process memory} *)
 

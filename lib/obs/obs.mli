@@ -55,9 +55,6 @@ val add : counter -> int -> unit
 (** Merged total across all domain shards. *)
 val value : counter -> int
 
-(** Zero every shard of this counter (concurrent bumps may survive). *)
-val reset_counter : counter -> unit
-
 (** {1 Gauges} *)
 
 type gauge
@@ -141,11 +138,6 @@ val stop_recording : unit -> unit
     rebased so the trace starts near 0. Recording stays active. *)
 val write_trace : string -> unit
 
-(** If [DLEARN_TRACE] names a file, start recording now and write the
-    trace there at process exit. For entry points that do not route
-    through [Experiment.evaluate] (which honours [Config.trace] itself). *)
-val install_env_trace : unit -> unit
-
 (** {1 Reports} *)
 
 (** Pretty per-stage report: histograms (count/total/mean/max, widest
@@ -163,9 +155,6 @@ val report_json : unit -> string
     JSON the repo writes: traces, reports, diagnostics and the serve
     protocol. *)
 val json_escape : string -> string
-
-(** Zero every metric and drop recorded events. Handles stay valid. *)
-val reset : unit -> unit
 
 (** {1 Process memory}
 

@@ -23,21 +23,18 @@ module Obs = Dlearn_obs.Obs
 
 let default_fanout_threshold_ns = 100_000
 let default_min_chunk_ns = 20_000
-let default_probe_budget_ns = 10_000
+let probe_budget_ns = 10_000
 let fanout_threshold_ns = Atomic.make default_fanout_threshold_ns
 let min_chunk_ns = Atomic.make default_min_chunk_ns
-let probe_budget_ns = Atomic.make default_probe_budget_ns
 let ewma_item_ns = Atomic.make 0
 
-let set_cost_model ?fanout_threshold ?min_chunk ?probe_budget () =
+let set_cost_model ?fanout_threshold ?min_chunk () =
   Option.iter (Atomic.set fanout_threshold_ns) fanout_threshold;
-  Option.iter (Atomic.set min_chunk_ns) min_chunk;
-  Option.iter (Atomic.set probe_budget_ns) probe_budget
+  Option.iter (Atomic.set min_chunk_ns) min_chunk
 
 let reset_cost_model () =
   Atomic.set fanout_threshold_ns default_fanout_threshold_ns;
-  Atomic.set min_chunk_ns default_min_chunk_ns;
-  Atomic.set probe_budget_ns default_probe_budget_ns
+  Atomic.set min_chunk_ns default_min_chunk_ns
 
 let last_item_cost_ns () = Atomic.get ewma_item_ns
 
@@ -319,7 +316,7 @@ let run_from pool ~t0 ~start run n =
   let threshold = Atomic.get fanout_threshold_ns in
   let i = ref start in
   if threshold > 0 then begin
-    let deadline = t0 + Atomic.get probe_budget_ns in
+    let deadline = t0 + probe_budget_ns in
     while !i < n && Obs.now_ns () < deadline do
       run !i (!i + 1);
       incr i

@@ -41,25 +41,17 @@
 
 type t
 
-(** [create ~num_domains] spawns [max 0 (num_domains - 1)] worker
-    domains. Workers block on a condition variable between batches and
-    consume no CPU while idle. *)
-val create : num_domains:int -> t
-
 (** Total participating domains, including the submitter; [1] means the
     pool is purely sequential. *)
 val num_domains : t -> int
 
 (** [get n] returns the process-wide shared pool of size [n], creating it
-    on first use. Pools obtained this way are shut down automatically at
-    exit. Use this rather than [create] when several subsystems (coverage,
-    learner, experiments) should share one set of worker domains. *)
+    on first use: every subsystem (coverage, learner, experiments) that
+    asks for [n] domains shares one set of worker domains. Its
+    [max 0 (n - 1)] workers block on a condition variable between
+    batches, consume no CPU while idle, and are stopped and joined at
+    exit. *)
 val get : int -> t
-
-(** [in_worker ()] is [true] while the calling domain is executing a pool
-    task. Exposed for code that must pick a sequential code path when it
-    may be called from inside a fan-out. *)
-val in_worker : unit -> bool
 
 (** [map pool f arr] is [Array.map f arr] computed in parallel with
     deterministic result ordering. *)
@@ -81,14 +73,13 @@ val fill : t -> n:int -> (int -> bool) -> Bytes.t
 
     Process-wide knobs for the adaptive fan-out decision, in
     nanoseconds. Defaults: fan-out threshold 100µs (batches predicted
-    cheaper than this finish inline), minimum chunk cost 20µs, probe
-    budget 10µs. Exposed primarily so tests can force a path:
+    cheaper than this finish inline), minimum chunk cost 20µs. The probe
+    budget is a fixed 10µs. Exposed primarily so tests can force a path:
     [set_cost_model ~fanout_threshold:0 ~min_chunk:0 ()] makes every
     parallel-eligible batch fan out with small chunks (maximum stealing);
     a huge [fanout_threshold] forces everything inline. *)
 
-val set_cost_model :
-  ?fanout_threshold:int -> ?min_chunk:int -> ?probe_budget:int -> unit -> unit
+val set_cost_model : ?fanout_threshold:int -> ?min_chunk:int -> unit -> unit
 
 (** Restore the default cost model. *)
 val reset_cost_model : unit -> unit
@@ -114,7 +105,3 @@ val stats : t -> stats
 
 (** Log the counters on the [dlearn.pool] source at debug level. *)
 val log_stats : t -> unit
-
-(** Stop the workers and join them. The pool must not be used afterwards;
-    idempotent. Pools from {!get} are shut down at exit automatically. *)
-val shutdown : t -> unit

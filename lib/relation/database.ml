@@ -141,15 +141,6 @@ let pp_summary fmt t =
     ();
   Format.fprintf fmt "@]"
 
-(* {2 Hooks for the versioned layer (Vdb)} *)
-
-let snapshot t =
-  let t' = create () in
-  List.iter
-    (fun name -> add_relation t' (Relation.snapshot (find t name)))
-    (relation_names t);
-  t'
-
 let replace_relation t r =
   let name = Relation.name r in
   let swap () =

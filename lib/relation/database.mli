@@ -69,13 +69,8 @@ val copy : t -> t
 (** Never forces: pending relations print as [name: pending]. *)
 val pp_summary : Format.formatter -> t -> unit
 
-(** [snapshot t] is an immutable point-in-time view: every relation is a
-    {!Relation.snapshot} sharing the live stores (O(relations) overall).
-    Pending relations {b are} forced first — a version handle needs the
-    data. Used by {!Vdb} to mint version handles. *)
-val snapshot : t -> t
-
 (** [replace_relation t r] rebinds the loaded relation named like [r] to
-    [r] — the versioned layer's commit hook for copy-on-write updates.
+    [r] — how the serve loop's [update] installs a
+    {!Relation.with_tuple} copy.
     @raise Invalid_argument when no loaded relation has that name. *)
 val replace_relation : t -> Relation.t -> unit

@@ -3,10 +3,6 @@ type t = {
   mutable tuples : Tuple.t array;
   mutable size : int;
   indexes : Index.t array;
-  frozen : bool;
-      (* a snapshot view: shares [tuples] and [indexes] with a live base
-         that may keep appending at ids >= [size]; reads must bound every
-         index probe by [size], and writes are rejected *)
 }
 
 let create schema =
@@ -15,19 +11,11 @@ let create schema =
     tuples = Array.make 16 [||];
     size = 0;
     indexes = Array.init (Schema.arity schema) (fun _ -> Index.create ());
-    frozen = false;
   }
 
 let schema t = t.schema
 let name t = Schema.name t.schema
 let cardinality t = t.size
-let is_snapshot t = t.frozen
-
-(* O(arity): the snapshot borrows the base's arrays. The base only ever
-   appends (ids >= [t.size] at snapshot time), and growth replaces the
-   base's own [tuples] field with a fresh array, so everything below
-   [t.size] stays immutable from the snapshot's point of view. *)
-let snapshot t = { t with frozen = true }
 
 let ensure_capacity t =
   if t.size = Array.length t.tuples then begin
@@ -37,10 +25,6 @@ let ensure_capacity t =
   end
 
 let insert t tuple =
-  if t.frozen then
-    invalid_arg
-      (Printf.sprintf "Relation.insert: %s is a frozen snapshot"
-         (Schema.name t.schema));
   if Tuple.arity tuple <> Schema.arity t.schema then
     invalid_arg
       (Printf.sprintf "Relation.insert: arity %d tuple into %s"
@@ -59,23 +43,9 @@ let get t id =
     invalid_arg (Printf.sprintf "Relation.get: id %d out of range" id);
   t.tuples.(id)
 
-(* Snapshots share the base's indexes, which keep accumulating ids the
-   base inserts after the snapshot was taken — bound every probe by the
-   snapshot's own [size]. Live relations skip the filter: their indexes
-   hold exactly the ids below [size]. *)
-let select_eq t pos v =
-  let ids = Index.lookup t.indexes.(pos) v in
-  if t.frozen then List.filter (fun id -> id < t.size) ids else ids
-
-let holds_value t pos v =
-  if t.frozen then
-    List.exists (fun id -> id < t.size) (Index.lookup t.indexes.(pos) v)
-  else Index.mem t.indexes.(pos) v
-
-let distinct_values t pos =
-  let values = Index.distinct_values t.indexes.(pos) in
-  if t.frozen then List.filter (fun v -> holds_value t pos v) values
-  else values
+let select_eq t pos v = Index.lookup t.indexes.(pos) v
+let holds_value t pos v = Index.mem t.indexes.(pos) v
+let distinct_values t pos = Index.distinct_values t.indexes.(pos)
 
 let iter f t =
   for id = 0 to t.size - 1 do
@@ -107,10 +77,11 @@ let contains t tuple =
 
 let copy t = map_tuples Fun.id t
 
-(* Copy-on-write update: a fresh live relation (own arrays, own indexes)
-   with tuple [id] replaced. Snapshots of the original keep seeing the old
-   tuple — the versioned layer swaps the fresh relation in as the new
-   head. O(cardinality), vs O(1) shared appends for inserts. *)
+(* Copy-on-write update: a fresh relation (own arrays, own indexes) with
+   tuple [id] replaced; the original is left untouched. The serve loop's
+   [update] swaps the fresh relation into its database
+   ([Database.replace_relation]). O(cardinality), vs O(1) appends for
+   inserts. *)
 let with_tuple t id tuple =
   if id < 0 || id >= t.size then
     invalid_arg (Printf.sprintf "Relation.with_tuple: id %d out of range" id);

@@ -13,20 +13,9 @@ val schema : t -> Schema.t
 
 val name : t -> string
 
-(** [snapshot t] is an immutable view of [t] at its current cardinality,
-    in O(arity): the view shares the tuple store and indexes with [t], so
-    later inserts into [t] (which only append) are invisible to it —
-    index probes are bounded by the view's size. {!insert} on a snapshot
-    raises [Invalid_argument]. Snapshots are the per-version relation
-    handles of {!Vdb}. *)
-val snapshot : t -> t
-
-(** [is_snapshot t] — [true] for views produced by {!snapshot}. *)
-val is_snapshot : t -> bool
-
-(** [with_tuple t id tuple] is a fresh live relation with tuple [id]
+(** [with_tuple t id tuple] is a fresh relation with tuple [id]
     replaced — copy-on-write at relation granularity, O(cardinality);
-    snapshots of [t] keep the old tuple.
+    [t] keeps the old tuple.
     @raise Invalid_argument on a bad id or arity. *)
 val with_tuple : t -> int -> Tuple.t -> t
 

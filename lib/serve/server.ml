@@ -1,20 +1,19 @@
 (* The dlearn serve loop: a Unix-domain socket server holding one warm
-   learning state — a versioned database ({!Dlearn_relation.Vdb}), a
-   long-lived {!Dlearn_core.Context} over its head, and the workload's
-   labelled examples — and answering length-prefixed JSON requests
-   ({!Protocol}). Requests share the warm caches: a learn after a small
-   committed delta re-resolves only the invalidated examples instead of
-   rebuilding the context (docs/SERVE.md).
+   learning state — the workload's live database, a long-lived
+   {!Dlearn_core.Context} over it, and the labelled examples — and
+   answering length-prefixed JSON requests ({!Protocol}). Requests share
+   the warm caches: a learn after a small write re-resolves only the
+   invalidated examples instead of rebuilding the context
+   (docs/SERVE.md).
 
    Concurrency model: one systhread per connection; every request takes
    a readers–writer lock — learn/coverage/check/query/status share it,
-   insert/update/shutdown take it exclusively. Read requests may fan out
-   over the context's domain pool internally; the RW lock only orders
-   whole requests against commits, which is exactly what the versioned
-   core asks of its caller (relation indexes are not safe under
-   concurrent mutation). Commits invalidate the context through the
-   {!Dlearn_relation.Vdb.subscribe} hook before the writer lock is
-   released, so no read ever sees a new database under stale verdicts. *)
+   insert/update take it exclusively. Read requests may fan out over the
+   context's domain pool internally; the RW lock orders whole requests
+   against writes (relation indexes are not safe under concurrent
+   mutation). A write lands in the live database and invalidates the
+   context ({!Dlearn_core.Context.apply_delta}) before the writer lock is
+   released, so no read ever sees new data under stale verdicts. *)
 
 open Dlearn_relation
 open Dlearn_core
@@ -72,12 +71,10 @@ end
 
 type t = {
   workload : Workload.t;
-  vdb : Vdb.t;
+  db : Database.t;  (* the workload's database, written in place *)
   ctx : Context.t;
   rw : Rwlock.t;
-  last_invalidated : int Atomic.t;
-      (* examples invalidated by the most recent commit, stamped by the
-         subscriber so write responses can report it *)
+  mutable version : int;  (* writes applied so far; guarded by [rw] *)
   stop : bool Atomic.t;
 }
 
@@ -86,32 +83,20 @@ let errors_c = Obs.counter "serve.errors"
 let connections_c = Obs.counter "serve.connections"
 
 let create workload =
-  let vdb = Vdb.of_database workload.Workload.db in
-  (* The context reads the vdb's live head: commits mutate it in place
-     (inserts) or swap relations (updates), and the subscriber below
-     invalidates exactly the state those deltas can touch. *)
-  let ctx =
-    Context.create workload.Workload.config (Vdb.head vdb)
-      workload.Workload.mds workload.Workload.cfds
-  in
-  let t =
-    {
-      workload;
-      vdb;
-      ctx;
-      rw = Rwlock.create ();
-      last_invalidated = Atomic.make 0;
-      stop = Atomic.make false;
-    }
-  in
-  Vdb.subscribe vdb (fun _version deltas ->
-      let n = Context.apply_delta ctx (Vdb.changed_tuples deltas) in
-      Atomic.set t.last_invalidated n);
-  t
-
-let workload t = t.workload
-let context t = t.ctx
-let vdb t = t.vdb
+  let db = workload.Workload.db in
+  (* Force lazily loaded relations now: [Database.replace_relation] only
+     rebinds loaded relations, and [status] counts only loaded tuples. *)
+  Database.materialize db;
+  {
+    workload;
+    db;
+    ctx =
+      Context.create workload.Workload.config db workload.Workload.mds
+        workload.Workload.cfds;
+    rw = Rwlock.create ();
+    version = 0;
+    stop = Atomic.make false;
+  }
 
 (* {2 Request handlers} *)
 
@@ -141,13 +126,12 @@ let tuple_exn name req =
   | _ -> failwith (Printf.sprintf "field %S: expected an array" name)
 
 let handle_status t =
-  let db = Vdb.head t.vdb in
   Protocol.ok
     [
       ("dataset", Json.String t.workload.Workload.name);
-      ("version", Json.Int (Vdb.version_id (Vdb.version t.vdb)));
-      ("relations", Json.Int (List.length (Database.relation_names db)));
-      ("tuples", Json.Int (Database.total_tuples db));
+      ("version", Json.Int t.version);
+      ("relations", Json.Int (List.length (Database.relation_names t.db)));
+      ("tuples", Json.Int (Database.total_tuples t.db));
       ("pos", Json.Int (List.length t.workload.Workload.pos));
       ("neg", Json.Int (List.length t.workload.Workload.neg));
       ("cached_examples", Json.Int (Context.example_count t.ctx));
@@ -184,7 +168,7 @@ let handle_learn t req =
              r.Learner.stats) );
       ("seconds", Json.Float r.Learner.seconds);
       ("seeds_skipped", Json.Int r.Learner.seeds_skipped);
-      ("version", Json.Int (Vdb.version_id (Vdb.version t.vdb)));
+      ("version", Json.Int t.version);
     ]
 
 let parse_clause_exn text =
@@ -220,9 +204,8 @@ let handle_check t req =
     | None -> []
   in
   let target = t.workload.Workload.config.Config.target in
-  let db = Vdb.head t.vdb in
   let constraint_ds =
-    Analyzer.check_constraints db ~mds:t.workload.Workload.mds
+    Analyzer.check_constraints t.db ~mds:t.workload.Workload.mds
       ~cfds:t.workload.Workload.cfds
   in
   let clause_ds =
@@ -234,7 +217,7 @@ let handle_check t req =
               Diagnostic.error ~code:"DL001" ~subject:Diagnostic.General
                 ~witness:text ("clause does not parse: " ^ msg);
             ]
-        | Ok c -> Analyzer.check_clause db ~target c)
+        | Ok c -> Analyzer.check_clause t.db ~target c)
       clauses
   in
   let ds = constraint_ds @ clause_ds in
@@ -254,9 +237,7 @@ let handle_query t req =
     Dlearn_query.Conjunctive.oracle_of_spec
       t.workload.Workload.config.Config.sim
   in
-  let rows =
-    Dlearn_query.Conjunctive.answers ~limit (Vdb.head t.vdb) oracle c
-  in
+  let rows = Dlearn_query.Conjunctive.answers ~limit t.db oracle c in
   Protocol.ok
     [
       ( "rows",
@@ -269,20 +250,27 @@ let handle_query t req =
              rows) );
     ]
 
-let write_response t = function
-  | Ok version ->
-      Protocol.ok
-        [
-          ("version", Json.Int (Vdb.version_id version));
-          ("invalidated", Json.Int (Atomic.get t.last_invalidated));
-        ]
-  | Error e -> Protocol.error (Vdb.error_to_string e)
+let relation_exn t name =
+  match Database.find_opt t.db name with
+  | Some r -> r
+  | None -> failwith (Printf.sprintf "unknown relation %S" name)
+
+(* Runs under the writer lock once the write has landed: count it and
+   invalidate what the touched tuples can reach before any reader runs. *)
+let applied t rel touched =
+  t.version <- t.version + 1;
+  let invalidated = Context.apply_delta t.ctx [ (rel, touched) ] in
+  Protocol.ok
+    [ ("version", Json.Int t.version); ("invalidated", Json.Int invalidated) ]
 
 let handle_insert t req =
   let rel = string_exn "relation" req in
   let tuple = tuple_exn "values" req in
-  write_response t (Vdb.insert_one t.vdb rel tuple)
+  ignore (Relation.insert (relation_exn t rel) tuple);
+  applied t rel [ tuple ]
 
+(* An update touches its new and its previous tuple: a value leaving a
+   bottom clause invalidates as surely as one entering. *)
 let handle_update t req =
   let rel = string_exn "relation" req in
   let id =
@@ -291,15 +279,18 @@ let handle_update t req =
     | None -> failwith "missing int field \"id\""
   in
   let tuple = tuple_exn "values" req in
-  write_response t (Vdb.update_one t.vdb rel id tuple)
+  let live = relation_exn t rel in
+  let updated = Relation.with_tuple live id tuple in
+  Database.replace_relation t.db updated;
+  applied t rel [ tuple; Relation.get live id ]
 
 let handle_metrics () =
   (* [report_json] renders the registry; re-parse to embed. *)
   Protocol.ok [ ("metrics", Json.of_string (Obs.report_json ())) ]
 
-(* Dispatch one request. Reads share the RW lock; writes (and shutdown)
-   exclude them. Every handler error becomes an {"ok":false} response —
-   a bad request must not kill the connection, let alone the server. *)
+(* Dispatch one request. Reads share the RW lock; writes exclude them.
+   Every handler error becomes an {"ok":false} response — a bad request
+   must not kill the connection, let alone the server. *)
 let handle t req =
   Obs.incr requests_c;
   let op = Protocol.op_of_request req in

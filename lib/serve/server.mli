@@ -1,13 +1,13 @@
-(** The dlearn serve loop (docs/SERVE.md): one warm learning state — a
-    versioned database ({!Dlearn_relation.Vdb}), a long-lived
-    {!Dlearn_core.Context} over its head, the workload's labelled
-    examples — behind a Unix-domain socket speaking the {!Protocol}
-    frames. Concurrent requests take a writer-preferring readers–writer
-    lock: [learn]/[coverage]/[check]/[query]/[status] share it,
-    [insert]/[update] exclude them, so every read sees a committed
-    version and commits invalidate the warm caches
+(** The dlearn serve loop (docs/SERVE.md): one warm learning state — the
+    workload's live database, a long-lived {!Dlearn_core.Context} over
+    it, the workload's labelled examples — behind a Unix-domain socket
+    speaking the {!Protocol} frames. Concurrent requests take a
+    writer-preferring readers–writer lock: [learn]/[coverage]/[check]/
+    [query]/[status] share it, [insert]/[update] exclude them, so every
+    read sees whole writes, and each write invalidates the warm caches
     ({!Dlearn_core.Context.apply_delta}) before any read can observe the
-    new data.
+    new data. The [version] a response reports counts the writes applied
+    since {!create}.
 
     Operations (request [op] field): [ping], [status], [learn] (optional
     [pos]/[neg] prefix sizes), [coverage] (clause), [check] (optional
@@ -22,14 +22,10 @@ type t
     tests and the warm-path benchmark drive it without a socket. *)
 
 val create : Dlearn_eval.Workload.t -> t
-(** Adopt the workload's database into a {!Dlearn_relation.Vdb}, build
-    the long-lived context over its head, and subscribe the
-    cache-invalidation hook. The workload's database must not be mutated
-    behind the server's back afterwards. *)
-
-val workload : t -> Dlearn_eval.Workload.t
-val context : t -> Dlearn_core.Context.t
-val vdb : t -> Dlearn_relation.Vdb.t
+(** Adopt the workload's database (forcing any lazily loaded relations)
+    and build the long-lived context over it. Writes go straight into
+    that database: it must not be mutated behind the server's back
+    afterwards. *)
 
 val handle : t -> Json.t -> Json.t
 (** Dispatch one request under the RW lock and return the response

@@ -394,6 +394,53 @@ let subsumption_tests =
         let d = Clause.make ~head:(rel "T" [ s "0" ]) body in
         Alcotest.(check bool) "exhausted" true
           (Subsumption.subsumes ~budget:3 c d = Subsumption.Budget_exhausted));
+    Alcotest.test_case "exhausted boolean verdicts are counted" `Quick
+      (fun () ->
+        let c =
+          Clause.make
+            ~head:(rel "T" [ v "x" ])
+            [ rel "R" [ v "a"; v "b" ]; rel "R" [ v "c"; v "d" ] ]
+        in
+        let body =
+          List.init 10 (fun i ->
+              rel "R" [ s (string_of_int i); s (string_of_int (i + 1)) ])
+        in
+        let d = Clause.make ~head:(rel "T" [ s "0" ]) body in
+        let exhausted = Dlearn_obs.Obs.counter "subsumption.exhausted" in
+        let before = Dlearn_obs.Obs.value exhausted in
+        Alcotest.(check bool) "decided: subsumed" true
+          (Subsumption.subsumes_bool c d);
+        Alcotest.(check int) "a decided verdict is not counted" before
+          (Dlearn_obs.Obs.value exhausted);
+        Alcotest.(check bool) "exhausted: not covered" false
+          (Subsumption.subsumes_bool ~budget:1 c d);
+        Alcotest.(check int) "counted once" (before + 1)
+          (Dlearn_obs.Obs.value exhausted));
+    Alcotest.test_case "exhausted target verdicts are counted" `Quick
+      (fun () ->
+        (* The prepared-target entry point coverage testing calls. *)
+        let c =
+          Clause.make
+            ~head:(rel "T" [ v "x" ])
+            [ rel "R" [ v "a"; v "b" ]; rel "R" [ v "c"; v "d" ] ]
+        in
+        let body =
+          List.init 10 (fun i ->
+              rel "R" [ s (string_of_int i); s (string_of_int (i + 1)) ])
+        in
+        let target =
+          Subsumption.prepare (Clause.make ~head:(rel "T" [ s "0" ]) body)
+        in
+        let exhausted = Dlearn_obs.Obs.counter "subsumption.exhausted" in
+        let before = Dlearn_obs.Obs.value exhausted in
+        Alcotest.(check bool) "decided: subsumed" true
+          (Subsumption.subsumes_target_bool c target);
+        Alcotest.(check int) "a decided verdict is not counted" before
+          (Dlearn_obs.Obs.value exhausted);
+        Alcotest.(check bool) "exhausted: not covered" false
+          (Subsumption.subsumes_target_bool ~budget:1 c target);
+        Alcotest.(check int) "counted once" (before + 1)
+          (Dlearn_obs.Obs.value exhausted));
     Alcotest.test_case "duplicate shared body literal expands twice" `Quick
       (fun () ->
         (* Regression: component solving used to drop EVERY physically

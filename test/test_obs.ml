@@ -19,19 +19,18 @@ let contains ~sub s =
 let registry_tests =
   [
     Alcotest.test_case "counter add/value/reset" `Quick (fun () ->
+        (* Counters are process-wide and never reset: read deltas. *)
         let c = Obs.counter "test.registry.counter" in
-        Obs.reset_counter c;
+        let before = Obs.value c in
         Obs.incr c;
         Obs.add c 41;
-        Alcotest.(check int) "value" 42 (Obs.value c);
-        Obs.reset_counter c;
-        Alcotest.(check int) "after reset" 0 (Obs.value c));
+        Alcotest.(check int) "value" 42 (Obs.value c - before));
     Alcotest.test_case "counter is get-or-create" `Quick (fun () ->
         let a = Obs.counter "test.registry.shared" in
-        Obs.reset_counter a;
+        let before = Obs.value a in
         Obs.add a 7;
         let b = Obs.counter "test.registry.shared" in
-        Alcotest.(check int) "same metric" 7 (Obs.value b));
+        Alcotest.(check int) "same metric" 7 (Obs.value b - before));
     Alcotest.test_case "kind mismatch rejected" `Quick (fun () ->
         let _ = Obs.counter "test.registry.kinded" in
         Alcotest.check_raises "gauge over counter"
@@ -64,7 +63,7 @@ let sharding_tests =
   [
     Alcotest.test_case "counter merges across domains" `Quick (fun () ->
         let c = Obs.counter "test.shard.counter" in
-        Obs.reset_counter c;
+        let before = Obs.value c in
         let per_domain = 10_000 and domains = 4 in
         let ds =
           List.init domains (fun _ ->
@@ -74,7 +73,8 @@ let sharding_tests =
                   done))
         in
         List.iter Domain.join ds;
-        Alcotest.(check int) "merged" (domains * per_domain) (Obs.value c));
+        Alcotest.(check int) "merged" (domains * per_domain)
+          (Obs.value c - before));
     Alcotest.test_case "histogram merges across domains" `Quick (fun () ->
         let h = Obs.histogram "test.shard.hist" in
         let ds =
@@ -213,7 +213,6 @@ let report_tests =
     Alcotest.test_case "report mentions active metrics" `Quick (fun () ->
         with_metrics (fun () ->
             let c = Obs.counter "test.report.counter" in
-            Obs.reset_counter c;
             Obs.add c 5;
             ignore (Obs.span "test.report.span" (fun () -> ()));
             let r = Obs.report () in
@@ -223,7 +222,6 @@ let report_tests =
               (contains ~sub:"test.report.span" r)));
     Alcotest.test_case "report_json is shaped" `Quick (fun () ->
         let c = Obs.counter "test.report.json" in
-        Obs.reset_counter c;
         Obs.incr c;
         let j = Obs.report_json () in
         List.iter

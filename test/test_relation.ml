@@ -170,6 +170,39 @@ let database_tests =
         ignore (Database.create_relation db (Schema.string_attrs "b" [ "x" ]));
         ignore (Database.create_relation db (Schema.string_attrs "a" [ "x" ]));
         Alcotest.(check (list string)) "order" [ "b"; "a" ] (Database.relation_names db));
+    Alcotest.test_case "replace_relation rebinds a loaded relation" `Quick
+      (fun () ->
+        let db = Database.create () in
+        Database.add_relation db (movies_relation ());
+        ignore (Database.create_relation db (Schema.string_attrs "b" [ "x" ]));
+        let updated =
+          Relation.with_tuple (Database.find db "movies") 0
+            (Tuple.of_strings [ "m1"; "Renamed"; "y2007" ])
+        in
+        Database.replace_relation db updated;
+        Alcotest.(check bool) "find returns the new relation" true
+          (Database.find db "movies" == updated);
+        Alcotest.(check (list string)) "order kept" [ "movies"; "b" ]
+          (Database.relation_names db);
+        Alcotest.(check int) "tuples" 3 (Database.total_tuples db));
+    Alcotest.test_case "replace_relation rejects unknown and pending names"
+      `Quick (fun () ->
+        let db = Database.create () in
+        Database.add_lazy db "movies" movies_relation;
+        let raises f =
+          try
+            f ();
+            false
+          with Invalid_argument _ -> true
+        in
+        Alcotest.(check bool) "pending rejected" true
+          (raises (fun () -> Database.replace_relation db (movies_relation ())));
+        Alcotest.(check bool) "still pending" false
+          (Database.is_loaded db "movies");
+        Alcotest.(check bool) "unknown rejected" true
+          (raises (fun () ->
+               Database.replace_relation db
+                 (Relation.create (Schema.string_attrs "nope" [ "x" ])))));
   ]
 
 let csv_tests =
@@ -587,43 +620,38 @@ let stress_tests =
           (List.length (Relation.distinct_values r 1)));
   ]
 
+(* Point-in-time views: a [copy] keeps its own store and indexes, and
+   the serve loop's [update] installs the fresh relation [with_tuple]
+   returns, leaving the original as it was. *)
 let snapshot_tests =
   [
     Alcotest.test_case "snapshot does not see later inserts" `Quick (fun () ->
         let r = movies_relation () in
-        let s = Relation.snapshot r in
-        Alcotest.(check bool) "is_snapshot" true (Relation.is_snapshot s);
-        Alcotest.(check bool) "live is not" false (Relation.is_snapshot r);
+        let s = Relation.copy r in
         ignore (Relation.insert r (Tuple.of_strings [ "m4"; "New"; "y2020" ]));
         Alcotest.(check int) "snapshot bounded" 3 (Relation.cardinality s);
         Alcotest.(check int) "live grew" 4 (Relation.cardinality r);
-        (* Index probes share the live relation's indexes but filter by
-           the recorded size: the new tuple is invisible through them. *)
         Alcotest.(check int) "live probe sees it" 1
           (List.length (Relation.select_eq r 0 (Value.String "m4")));
         Alcotest.(check int) "snapshot probe does not" 0
           (List.length (Relation.select_eq s 0 (Value.String "m4")));
+        Alcotest.(check bool) "holds_value bounded" false
+          (Relation.holds_value s 0 (Value.String "m4"));
         Alcotest.(check bool) "distinct_values bounded" false
           (List.exists
              (fun v -> Value.equal v (Value.String "m4"))
-             (Relation.distinct_values s 0)))
-    ;
-    Alcotest.test_case "insert into a snapshot raises" `Quick (fun () ->
-        let s = Relation.snapshot (movies_relation ()) in
-        Alcotest.(check bool) "raises" true
-          (try
-             ignore (Relation.insert s (Tuple.of_strings [ "x"; "y"; "z" ]));
-             false
-           with Invalid_argument _ -> true));
+             (Relation.distinct_values s 0)));
     Alcotest.test_case "with_tuple is copy-on-write" `Quick (fun () ->
         let r = movies_relation () in
-        let s = Relation.snapshot r in
+        let before = Relation.get r 0 in
         let updated = Tuple.of_strings [ "m1"; "Superbad"; "y2007" ] in
         let r' = Relation.with_tuple r 0 updated in
         Alcotest.(check bool) "new relation updated" true
           (Tuple.equal (Relation.get r' 0) updated);
         Alcotest.(check bool) "original untouched" true
-          (Tuple.equal (Relation.get r 0) (Relation.get s 0));
+          (Tuple.equal (Relation.get r 0) before);
+        Alcotest.(check int) "original index untouched" 0
+          (List.length (Relation.select_eq r 1 (Value.String "Superbad")));
         Alcotest.(check int) "same cardinality" (Relation.cardinality r)
           (Relation.cardinality r');
         Alcotest.(check int) "other ids preserved" 1
@@ -641,106 +669,6 @@ let snapshot_tests =
             (fun () -> Relation.with_tuple r 99 (Tuple.of_strings [ "a"; "b"; "c" ]));
             (fun () -> Relation.with_tuple r 0 (Tuple.of_strings [ "a" ]));
           ]);
-  ]
-
-let vdb_tests =
-  let fresh_store () =
-    let db = Database.create () in
-    Database.add_relation db (movies_relation ());
-    Vdb.of_database db
-  in
-  [
-    Alcotest.test_case "insert is invisible to earlier versions" `Quick
-      (fun () ->
-        let store = fresh_store () in
-        let v0 = Vdb.version store in
-        (match Vdb.insert_one store "movies" (Tuple.of_strings [ "m4"; "New"; "y2020" ]) with
-        | Ok v1 ->
-            Alcotest.(check int) "version advanced" 1 (Vdb.version_id v1);
-            Alcotest.(check int) "v1 sees it" 4
-              (Relation.cardinality (Database.find (Vdb.database v1) "movies"))
-        | Error e -> Alcotest.failf "commit failed: %s" (Vdb.error_to_string e));
-        Alcotest.(check int) "v0 does not" 3
-          (Relation.cardinality (Database.find (Vdb.database v0) "movies"));
-        Alcotest.(check int) "head does" 4
-          (Relation.cardinality (Database.find (Vdb.head store) "movies")));
-    Alcotest.test_case "update is copy-on-write across versions" `Quick
-      (fun () ->
-        let store = fresh_store () in
-        let v0 = Vdb.version store in
-        let before = Relation.get (Database.find (Vdb.database v0) "movies") 0 in
-        let updated = Tuple.of_strings [ "m1"; "Renamed"; "y2007" ] in
-        (match Vdb.update_one store "movies" 0 updated with
-        | Ok v1 ->
-            Alcotest.(check bool) "v1 updated" true
-              (Tuple.equal
-                 (Relation.get (Database.find (Vdb.database v1) "movies") 0)
-                 updated)
-        | Error e -> Alcotest.failf "commit failed: %s" (Vdb.error_to_string e));
-        Alcotest.(check bool) "v0 keeps the old tuple" true
-          (Tuple.equal
-             (Relation.get (Database.find (Vdb.database v0) "movies") 0)
-             before));
-    Alcotest.test_case "first committer wins on update conflicts" `Quick
-      (fun () ->
-        let store = fresh_store () in
-        let t1 = Vdb.begin_txn store and t2 = Vdb.begin_txn store in
-        (match Vdb.update t1 "movies" 0 (Tuple.of_strings [ "m1"; "A"; "y" ]) with
-        | Ok () -> ()
-        | Error e -> Alcotest.failf "buffer: %s" (Vdb.error_to_string e));
-        (match Vdb.update t2 "movies" 0 (Tuple.of_strings [ "m1"; "B"; "y" ]) with
-        | Ok () -> ()
-        | Error e -> Alcotest.failf "buffer: %s" (Vdb.error_to_string e));
-        (match Vdb.commit t1 with
-        | Ok _ -> ()
-        | Error e -> Alcotest.failf "t1: %s" (Vdb.error_to_string e));
-        (match Vdb.commit t2 with
-        | Error (Vdb.Conflict { rel; id }) ->
-            Alcotest.(check string) "relation" "movies" rel;
-            Alcotest.(check int) "id" 0 id
-        | Ok _ -> Alcotest.fail "t2 should conflict"
-        | Error e -> Alcotest.failf "unexpected: %s" (Vdb.error_to_string e)));
-    Alcotest.test_case "insert transactions always merge" `Quick (fun () ->
-        let store = fresh_store () in
-        let t1 = Vdb.begin_txn store and t2 = Vdb.begin_txn store in
-        ignore (Vdb.insert t1 "movies" (Tuple.of_strings [ "m4"; "A"; "y" ]));
-        ignore (Vdb.insert t2 "movies" (Tuple.of_strings [ "m5"; "B"; "y" ]));
-        (match (Vdb.commit t1, Vdb.commit t2) with
-        | Ok _, Ok v2 ->
-            Alcotest.(check int) "both applied" 5
-              (Relation.cardinality (Database.find (Vdb.database v2) "movies"))
-        | _ -> Alcotest.fail "insert-only transactions must both commit"));
-    Alcotest.test_case "abort discards buffered writes" `Quick (fun () ->
-        let store = fresh_store () in
-        let t = Vdb.begin_txn store in
-        ignore (Vdb.insert t "movies" (Tuple.of_strings [ "m4"; "A"; "y" ]));
-        Vdb.abort t;
-        Alcotest.(check int) "nothing applied" 3
-          (Relation.cardinality (Database.find (Vdb.head store) "movies"));
-        Alcotest.(check int) "no version minted" 0
-          (Vdb.version_id (Vdb.version store));
-        match Vdb.insert t "movies" (Tuple.of_strings [ "m5"; "B"; "y" ]) with
-        | Error Vdb.Closed -> ()
-        | _ -> Alcotest.fail "writes after abort must report Closed");
-    Alcotest.test_case "subscribers see commits with their deltas" `Quick
-      (fun () ->
-        let store = fresh_store () in
-        let seen = ref [] in
-        Vdb.subscribe store (fun v deltas ->
-            seen := (Vdb.version_id v, Vdb.changed_tuples deltas) :: !seen);
-        let extra = Tuple.of_strings [ "m4"; "New"; "y2020" ] in
-        ignore (Vdb.insert_one store "movies" extra);
-        let updated = Tuple.of_strings [ "m1"; "Renamed"; "y2007" ] in
-        ignore (Vdb.update_one store "movies" 0 updated);
-        match List.rev !seen with
-        | [ (1, [ ("movies", [ t1 ]) ]); (2, [ ("movies", [ t2; prev ]) ]) ]
-          ->
-            Alcotest.(check bool) "insert delta" true (Tuple.equal t1 extra);
-            Alcotest.(check bool) "update delta" true (Tuple.equal t2 updated);
-            Alcotest.(check bool) "previous value" true
-              (Tuple.equal prev (Tuple.of_strings [ "m1"; "Superbad (2007)"; "y2007" ]))
-        | other ->
-            Alcotest.failf "unexpected notifications: %d" (List.length other));
   ]
 
 (* Regression pins for the lazy-database fixes: summaries must not force
@@ -890,7 +818,6 @@ let () =
       ("stress", stress_tests);
       ("properties", qcheck_tests);
       ("snapshot", snapshot_tests);
-      ("vdb", vdb_tests);
       ("lazy_db", lazy_db_tests);
       ("mkdir", mkdir_tests);
     ]

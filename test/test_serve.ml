@@ -1,7 +1,7 @@
 (* The serve layer: JSON codec, frame protocol, and the warm server
    state driven in-process (the socket loop itself gets one end-to-end
    case; CI exercises it again through the real binary). The heart of
-   the file is the interleaving property: commits into the warm state
+   the file is the interleaving properties: writes into the warm state
    must leave every later verdict identical to a cold sequential replay,
    at every domain count — the soundness contract of
    [Context.apply_delta] (docs/SERVE.md). *)
@@ -132,6 +132,33 @@ let insert_req values =
       ("values", Json.List (List.map (fun s -> Json.String s) values));
     ]
 
+let update_req rel id values =
+  Protocol.request "update"
+    [
+      ("relation", Json.String rel);
+      ("id", Json.Int id);
+      ("values", Json.List (List.map (fun s -> Json.String s) values));
+    ]
+
+let coverage_req =
+  Protocol.request "coverage" [ ("clause", Json.String test_clause) ]
+
+let parsed_test_clause () =
+  match Dlearn_logic.Parser.clause test_clause with
+  | Ok c -> c
+  | Error msg -> Alcotest.failf "clause: %s" msg
+
+(* The coverage of [test_clause] computed from scratch: a fresh context
+   over the workload's database as it stands. *)
+let cold_counts w =
+  let ctx =
+    Dlearn_core.Context.create w.Workload.config w.Workload.db w.Workload.mds
+      w.Workload.cfds
+  in
+  let prepared = Dlearn_core.Coverage.prepare ctx (parsed_test_clause ()) in
+  Dlearn_core.Coverage.coverage ctx prepared ~pos:w.Workload.pos
+    ~neg:w.Workload.neg
+
 let coverage_counts resp =
   match (Json.int_field "pos_covered" resp, Json.int_field "neg_covered" resp) with
   | Some p, Some n -> (p, n)
@@ -168,7 +195,18 @@ let server_tests =
               ];
             Protocol.request "coverage" [ ("clause", Json.String "not a clause") ];
             Protocol.request "query" [];
-          ]);
+            update_req "nope" 0 [ "tt1"; "drama" ];
+            update_req "imdb_movies" 1_000_000 [ "tt1"; "T (2000)"; "y2000" ];
+            update_req "imdb_movies" 0 [ "only-one" ];
+            Protocol.request "update"
+              [
+                ("relation", Json.String "imdb_movies");
+                ("values", Json.List [ Json.String "tt1"; Json.String "T"; Json.String "y" ]);
+              ];
+          ];
+        let status = ok_exn (Server.handle t (Protocol.request "status" [])) in
+        Alcotest.(check (option int)) "no write counted" (Some 0)
+          (Json.int_field "version" status));
     Alcotest.test_case "insert commits a version and invalidates" `Quick
       (fun () ->
         let t = Server.create (fresh_workload ()) in
@@ -221,6 +259,168 @@ let server_tests =
         in
         Alcotest.(check (list string)) "identical definitions" cold_clauses
           warm_clauses);
+    Alcotest.test_case "warm coverage equals cold after updates" `Quick
+      (fun () ->
+        (* An update must invalidate through its previous tuple too: the
+           new values are novel, so only the row they replace can reach
+           a cached bottom clause. *)
+        let novel = [ "tt99999"; "zzgenre" ] in
+        for id = 0 to 11 do
+          let warm = Server.create (fresh_workload ()) in
+          ignore (ok_exn (Server.handle warm coverage_req));
+          let resp =
+            ok_exn (Server.handle warm (update_req "imdb_mov2genres" id novel))
+          in
+          Alcotest.(check (option int)) "version 1" (Some 1)
+            (Json.int_field "version" resp);
+          let cold_w = fresh_workload () in
+          let db = cold_w.Workload.db in
+          Database.replace_relation db
+            (Relation.with_tuple
+               (Database.find db "imdb_mov2genres")
+               id (Tuple.of_strings novel));
+          Alcotest.(check (pair int int))
+            (Printf.sprintf "row %d" id)
+            (cold_counts cold_w)
+            (coverage_counts (ok_exn (Server.handle warm coverage_req)))
+        done);
+    Alcotest.test_case "update commits a version and invalidates" `Quick
+      (fun () ->
+        let w = fresh_workload () in
+        let t = Server.create w in
+        ignore (ok_exn (Server.handle t coverage_req));
+        let movies () = Database.find w.Workload.db "imdb_movies" in
+        let size = Relation.cardinality (movies ()) in
+        let old_id = Tuple.get (Relation.get (movies ()) 0) 0 in
+        let indexed v = List.length (Relation.select_eq (movies ()) 0 v) in
+        let old_count = indexed old_id in
+        let updated = [ "tt99991"; "Renamed (2001)"; "y2001" ] in
+        let resp =
+          ok_exn (Server.handle t (update_req "imdb_movies" 0 updated))
+        in
+        Alcotest.(check (option int)) "version 1" (Some 1)
+          (Json.int_field "version" resp);
+        Alcotest.(check bool) "invalidation reported" true
+          (Json.int_field "invalidated" resp <> None);
+        Alcotest.(check bool) "row replaced" true
+          (Tuple.equal (Relation.get (movies ()) 0) (Tuple.of_strings updated));
+        Alcotest.(check int) "cardinality kept" size
+          (Relation.cardinality (movies ()));
+        Alcotest.(check int) "old id indexed once less" (old_count - 1)
+          (indexed old_id);
+        let rows =
+          ok_exn
+            (Server.handle t
+               (Protocol.request "query"
+                  [
+                    ("clause", Json.String "q(x) <- imdb_movies(x, t, y)");
+                    ("limit", Json.Int 1000);
+                  ]))
+        in
+        match Json.list_field "rows" rows with
+        | Some l ->
+            Alcotest.(check bool) "query sees the update" true
+              (List.mem (Json.List [ Json.String "tt99991" ]) l)
+        | None -> Alcotest.fail "no rows");
+    Alcotest.test_case "version counts writes, not requests" `Quick (fun () ->
+        let t = Server.create (fresh_workload ()) in
+        let version req =
+          Json.int_field "version" (ok_exn (Server.handle t req))
+        in
+        let status = Protocol.request "status" [] in
+        Alcotest.(check (option int)) "insert" (Some 1)
+          (version (insert_req [ "tt9003"; "Zoolander (2001)"; "y2001" ]));
+        ignore
+          (Server.handle t
+             (update_req "imdb_movies" 1_000_000 [ "tt1"; "T (2000)"; "y2000" ]));
+        ignore (ok_exn (Server.handle t coverage_req));
+        Alcotest.(check (option int)) "reads and rejected writes" (Some 1)
+          (version status);
+        Alcotest.(check (option int)) "update" (Some 2)
+          (version (update_req "imdb_mov2genres" 0 [ "tt99999"; "zzgenre" ]));
+        Alcotest.(check (option int)) "insert after update" (Some 3)
+          (version (insert_req [ "tt9004"; "Superbad (2007)"; "y2007" ]));
+        Alcotest.(check (option int)) "status" (Some 3) (version status));
+    Alcotest.test_case "rejected writes leave the data as it was" `Quick
+      (fun () ->
+        let w = fresh_workload () in
+        let t = Server.create w in
+        let dump () =
+          List.map
+            (fun r -> (Relation.name r, Relation.to_list r))
+            (Database.relations w.Workload.db)
+        in
+        let before = dump () in
+        List.iter
+          (fun req ->
+            Alcotest.(check bool) "rejected" false
+              (Protocol.is_ok (Server.handle t req)))
+          [
+            Protocol.request "insert" [ ("relation", Json.String "imdb_movies") ];
+            Protocol.request "insert"
+              [
+                ("relation", Json.String "imdb_movies");
+                ("values", Json.List [ Json.Int 1; Json.Int 2; Json.Int 3 ]);
+              ];
+            update_req "imdb_movies" (-1) [ "tt1"; "T (2000)"; "y2000" ];
+            update_req "imdb_mov2genres" 0 [ "tt1"; "drama"; "extra" ];
+            update_req "imdb_mov2genres" 1_000_000 [ "tt1"; "drama" ];
+          ];
+        let after = dump () in
+        Alcotest.(check (list string)) "relations" (List.map fst before)
+          (List.map fst after);
+        List.iter2
+          (fun (name, b) (_, a) ->
+            Alcotest.(check bool) name true (List.equal Tuple.equal b a))
+          before after);
+    Alcotest.test_case "concurrent writes serialize, reads see whole writes"
+      `Quick (fun () ->
+        (* Every write inserts one tuple, so a status that saw a write
+           half applied would report a tuple count off its version. *)
+        let t = Server.create (fresh_workload ()) in
+        let status () = ok_exn (Server.handle t (Protocol.request "status" [])) in
+        let base =
+          match Json.int_field "tuples" (status ()) with
+          | Some n -> n
+          | None -> Alcotest.fail "no tuple count"
+        in
+        let writers = 3 and per_writer = 10 in
+        let versions = Array.make (writers * per_writer) None in
+        let writer w () =
+          for i = 0 to per_writer - 1 do
+            let resp =
+              Server.handle t
+                (insert_req
+                   [ Printf.sprintf "tt8%d%02d" w i; "Superbad (2007)"; "y2007" ])
+            in
+            versions.((w * per_writer) + i) <- Json.int_field "version" resp;
+            Thread.yield ()
+          done
+        in
+        let reads = ref [] in
+        let reader () =
+          for _ = 1 to writers * per_writer do
+            let s = Server.handle t (Protocol.request "status" []) in
+            reads :=
+              (Json.int_field "version" s, Json.int_field "tuples" s) :: !reads;
+            Thread.yield ()
+          done
+        in
+        List.iter Thread.join
+          (Thread.create reader ()
+          :: List.init writers (fun w -> Thread.create (writer w) ()));
+        Alcotest.(check (list (option int))) "one version per write"
+          (List.init (writers * per_writer) (fun i -> Some (i + 1)))
+          (List.sort compare (Array.to_list versions));
+        List.iter
+          (function
+            | Some v, Some n ->
+                Alcotest.(check int) "tuples match version" (base + v) n
+            | _ -> Alcotest.fail "status failed")
+          !reads;
+        Alcotest.(check (option int)) "final version"
+          (Some (writers * per_writer))
+          (Json.int_field "version" (status ())));
     Alcotest.test_case "socket loop serves and shuts down cleanly" `Quick
       (fun () ->
         let t = Server.create (fresh_workload ()) in
@@ -282,11 +482,6 @@ let prop_workload ?(jobs = 1) () =
 let cold_coverage inserts =
   (* Sequential replay: after each insert, a fresh context over a fresh
      database copy answers the same coverage question from scratch. *)
-  let clause =
-    match Dlearn_logic.Parser.clause test_clause with
-    | Ok c -> c
-    | Error msg -> Alcotest.failf "clause: %s" msg
-  in
   List.mapi
     (fun i _ ->
       let w = prop_workload () in
@@ -295,31 +490,18 @@ let cold_coverage inserts =
         (fun j values ->
           if j <= i then ignore (Relation.insert r (Tuple.of_strings values)))
         inserts;
-      let ctx =
-        Dlearn_core.Context.create w.Workload.config w.Workload.db
-          w.Workload.mds w.Workload.cfds
-      in
-      let prepared = Dlearn_core.Coverage.prepare ctx clause in
-      Dlearn_core.Coverage.coverage ctx prepared ~pos:w.Workload.pos
-        ~neg:w.Workload.neg)
+      cold_counts w)
     inserts
 
 let warm_coverage ~jobs inserts =
   let t = Server.create (prop_workload ~jobs ()) in
   (* Prime the caches so the interleaving actually exercises
      invalidation, not first-touch computation. *)
-  ignore
-    (ok_exn
-       (Server.handle t
-          (Protocol.request "coverage" [ ("clause", Json.String test_clause) ])));
+  ignore (ok_exn (Server.handle t coverage_req));
   List.map
     (fun values ->
       ignore (ok_exn (Server.handle t (insert_req values)));
-      coverage_counts
-        (ok_exn
-           (Server.handle t
-              (Protocol.request "coverage"
-                 [ ("clause", Json.String test_clause) ]))))
+      coverage_counts (ok_exn (Server.handle t coverage_req)))
     inserts
 
 let interleaving_prop inserts =
@@ -328,12 +510,112 @@ let interleaving_prop inserts =
     (fun jobs -> warm_coverage ~jobs inserts = expected)
     [ 2; 4; 8 ]
 
+(* The same contract with updates in the mix. An update rewrites an
+   [imdb_mov2genres] row of one of the property's examples, keeping its
+   movie or moving it to a novel one — the case where only the previous
+   tuple reaches the cached bottom clauses. *)
+type write = Insert of string list | Update of int * string option * string
+
+let example_rows =
+  lazy
+    (let w = prop_workload () in
+     let ids =
+       List.map (fun e -> Tuple.get e 0) (w.Workload.pos @ w.Workload.neg)
+     in
+     let r = Database.find w.Workload.db "imdb_mov2genres" in
+     List.rev
+       (Relation.fold
+          (fun id tu acc ->
+            if List.exists (Value.equal (Tuple.get tu 0)) ids then id :: acc
+            else acc)
+          r []))
+
+let write_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, map (fun m -> Insert m) movie_gen);
+        ( 2,
+          let* row = delay (fun () -> oneofl (Lazy.force example_rows)) in
+          let* movie = opt (return "tt99999") in
+          let* genre = oneofl [ "drama"; "zzgenre" ] in
+          return (Update (row, movie, genre)) );
+      ])
+
+let writes_arb =
+  QCheck.make
+    ~print:(fun l ->
+      String.concat "; "
+        (List.map
+           (function
+             | Insert m -> "insert " ^ String.concat "," m
+             | Update (row, movie, genre) ->
+                 Printf.sprintf "update %d %s,%s" row
+                   (Option.value movie ~default:"(kept)")
+                   genre)
+           l))
+    QCheck.Gen.(list_size (1 -- 3) write_gen)
+
+(* The values an update writes, read from [db] as the write finds it. *)
+let update_values db row movie genre =
+  let current = Relation.get (Database.find db "imdb_mov2genres") row in
+  [
+    (match movie with
+    | Some m -> m
+    | None -> Value.to_string (Tuple.get current 0));
+    genre;
+  ]
+
+let apply_cold db = function
+  | Insert m ->
+      ignore
+        (Relation.insert (Database.find db "imdb_movies") (Tuple.of_strings m))
+  | Update (row, movie, genre) ->
+      let values = update_values db row movie genre in
+      Database.replace_relation db
+        (Relation.with_tuple
+           (Database.find db "imdb_mov2genres")
+           row (Tuple.of_strings values))
+
+let cold_writes writes =
+  List.mapi
+    (fun i _ ->
+      let w = prop_workload () in
+      List.iteri (fun j op -> if j <= i then apply_cold w.Workload.db op) writes;
+      cold_counts w)
+    writes
+
+let warm_writes ~jobs writes =
+  let w = prop_workload ~jobs () in
+  let t = Server.create w in
+  ignore (ok_exn (Server.handle t coverage_req));
+  List.map
+    (fun op ->
+      let req =
+        match op with
+        | Insert m -> insert_req m
+        | Update (row, movie, genre) ->
+            update_req "imdb_mov2genres" row
+              (update_values w.Workload.db row movie genre)
+      in
+      ignore (ok_exn (Server.handle t req));
+      coverage_counts (ok_exn (Server.handle t coverage_req)))
+    writes
+
+let writes_prop writes =
+  let expected = cold_writes writes in
+  List.for_all (fun jobs -> warm_writes ~jobs writes = expected) [ 2; 4; 8 ]
+
 let qcheck_tests =
   [
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make
          ~name:"interleaved commits + coverage match sequential replay"
          ~count:3 inserts_arb interleaving_prop);
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:"interleaved updates + coverage match sequential replay"
+         ~count:3 writes_arb writes_prop);
   ]
 
 let () =
