@@ -45,13 +45,17 @@ type t = {
   cover_cache : Cover_set.entry Cover_set.Clause_tbl.t;
   cover_lock : Mutex.t;
   cover_stats : cover_stats;
-  (* example key -> canonical parent-clause rendering -> ARMG result.
-     ARMG is deterministic in (parent clause, the example's ground
-     entry), so entries stay valid exactly as long as the ground entry
-     does; [apply_delta] drops an affected example's inner table
-     alongside its ground entry. *)
-  armg_cache : (string, (string, Dlearn_logic.Clause.t option) Hashtbl.t) Hashtbl.t;
+  (* example key -> parent clause -> ARMG result. ARMG is deterministic
+     in (parent clause, the example's ground entry), so entries stay
+     valid exactly as long as the ground entry does; [apply_delta] drops
+     an affected example's inner table alongside its ground entry. *)
+  armg_cache :
+    (string, Dlearn_logic.Clause.t option Cover_set.Clause_tbl.t) Hashtbl.t;
   armg_lock : Mutex.t;
+  (* clause as given -> its normal form. Normalization reads no data, so
+     no write invalidates an entry. *)
+  norm_cache : Dlearn_logic.Clause.t Cover_set.Clause_tbl.t;
+  norm_lock : Mutex.t;
 }
 
 let create config db mds cfds =
@@ -87,6 +91,8 @@ let create config db mds cfds =
     cover_lock = Mutex.create ();
     armg_cache = Hashtbl.create 64;
     armg_lock = Mutex.create ();
+    norm_cache = Cover_set.Clause_tbl.create 64;
+    norm_lock = Mutex.create ();
     cover_stats =
       {
         tested = Obs.counter "coverage.tested";
@@ -155,17 +161,17 @@ let cover_entry t clause =
 let armg_hits_c = Obs.counter "armg.cache_hits"
 let armg_computed_c = Obs.counter "armg.computed"
 
-(* Memoize one ARMG generalization. [ckey] must render the parent clause
-   canonically (the caller computes [Clause.to_string (Clause.canonical c)]
-   once per parent). Concurrent misses on one key may both run [compute];
-   the function is deterministic, so the duplicate write is harmless. *)
-let armg_cached t e' ckey compute =
+(* Memoize one ARMG generalization, keyed on the parent clause itself:
+   ARMG walks the body in order, so a reordered parent is another key.
+   Concurrent misses on one key may both run [compute]; the function is
+   deterministic, so the duplicate write is harmless. *)
+let armg_cached t e' parent compute =
   let ekey = example_key e' in
   match
     Mutex.protect t.armg_lock (fun () ->
         match Hashtbl.find_opt t.armg_cache ekey with
         | None -> None
-        | Some inner -> Hashtbl.find_opt inner ckey)
+        | Some inner -> Cover_set.Clause_tbl.find_opt inner parent)
   with
   | Some r ->
       Obs.incr armg_hits_c;
@@ -178,12 +184,33 @@ let armg_cached t e' ckey compute =
             match Hashtbl.find_opt t.armg_cache ekey with
             | Some inner -> inner
             | None ->
-                let inner = Hashtbl.create 8 in
+                let inner = Cover_set.Clause_tbl.create 8 in
                 Hashtbl.add t.armg_cache ekey inner;
                 inner
           in
-          Hashtbl.replace inner ckey r);
+          Cover_set.Clause_tbl.replace inner parent r);
       r
+
+(* Normalize through the memo. A miss runs outside the lock; when two
+   domains miss on one clause, the first insert wins and both return it,
+   so every caller of one clause shares one physical normal form. *)
+let normalize t clause =
+  match
+    Mutex.protect t.norm_lock (fun () ->
+        Cover_set.Clause_tbl.find_opt t.norm_cache clause)
+  with
+  | Some n -> n
+  | None ->
+      let n =
+        Obs.span "learn.normalize" (fun () ->
+            Dlearn_logic.Clause_norm.normalize clause)
+      in
+      Mutex.protect t.norm_lock (fun () ->
+          match Cover_set.Clause_tbl.find_opt t.norm_cache clause with
+          | Some first -> first
+          | None ->
+              Cover_set.Clause_tbl.add t.norm_cache clause n;
+              n)
 
 let is_searchable_attr t rel pos =
   match t.config.Config.searchable_attrs with
@@ -220,8 +247,8 @@ let is_searchable_attr t rel pos =
    are dropped (their distinct-value sets changed) and rebuild lazily.
    Everything else — unaffected verdicts, the surviving examples' ground
    entries with their repair enumerations and prepared targets, memoized
-   ARMG results — carries across the write. docs/SERVE.md states the
-   soundness argument in full. *)
+   ARMG results, every normal form — carries across the write.
+   docs/SERVE.md states the soundness argument in full. *)
 
 let delta_commits_c = Obs.counter "delta.commits"
 let delta_invalidated_c = Obs.counter "delta.invalidated_examples"
@@ -285,6 +312,7 @@ let value_touches consts (v, specs) =
     consts
 
 let apply_delta t changes =
+  Obs.span "delta.apply" @@ fun () ->
   Obs.incr delta_commits_c;
   let changed_rels = List.map fst changes in
   (* Changed relations' similarity indexes are stale (their distinct

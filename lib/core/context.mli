@@ -59,12 +59,15 @@ type t = {
   cover_lock : Mutex.t;  (** guards [cover_cache] (not the entries) *)
   cover_stats : cover_stats;
   armg_cache :
-    (string, (string, Dlearn_logic.Clause.t option) Hashtbl.t) Hashtbl.t;
-      (** example key → canonical parent-clause rendering → memoized ARMG
-          result; access through {!armg_cached}. Entries live exactly as
-          long as the example's ground entry ({!apply_delta} drops both
-          together). *)
+    (string, Dlearn_logic.Clause.t option Cover_set.Clause_tbl.t) Hashtbl.t;
+      (** example key → parent clause → memoized ARMG result; access
+          through {!armg_cached}. Entries live exactly as long as the
+          example's ground entry ({!apply_delta} drops both together). *)
   armg_lock : Mutex.t;  (** guards [armg_cache] *)
+  norm_cache : Dlearn_logic.Clause.t Cover_set.Clause_tbl.t;
+      (** clause as given → its normal form; access through
+          {!normalize}. No write drops an entry. *)
+  norm_lock : Mutex.t;  (** guards [norm_cache] *)
 }
 
 (** [create config db mds cfds] prepares the context: one similarity index
@@ -100,11 +103,11 @@ val reset_rng : t -> unit
     clause could change" (docs/SERVE.md): its ground entry and memoized
     ARMG results are dropped and its bits leave every cover-cache
     entry. Similarity indexes over changed relations are dropped and
-    rebuild lazily.
-    Counters: [delta.commits], [delta.invalidated_examples],
-    [delta.sim_indexes_dropped]. Callers must order this against
-    concurrent coverage requests (the serve loop holds the writer
-    lock). *)
+    rebuild lazily. Normal forms ({!normalize}) read no data and carry
+    across. Span [delta.apply]; counters: [delta.commits],
+    [delta.invalidated_examples], [delta.sim_indexes_dropped]. Callers
+    must order this against concurrent coverage requests (the serve loop
+    holds the writer lock). *)
 val apply_delta :
   t -> (string * Dlearn_relation.Tuple.t list) list -> int
 
@@ -123,27 +126,37 @@ val example_id : t -> Dlearn_relation.Tuple.t -> int
 (** Number of distinct examples interned so far. *)
 val example_count : t -> int
 
+(** [normalize t c] is {!Dlearn_logic.Clause_norm.normalize}[ c],
+    memoized per context on [c] as given ({!Dlearn_logic.Clause.equal}).
+    Only a miss normalizes, inside the [learn.normalize] span. Every call
+    on clauses equal to [c] returns one physical normal form, also when
+    domains miss at once (the first insert wins). The memo grows by one
+    entry per distinct clause, like the cover cache; {!apply_delta}
+    leaves it alone, since normalization reads no data. Safe from any
+    domain. *)
+val normalize : t -> Dlearn_logic.Clause.t -> Dlearn_logic.Clause.t
+
 (** [cover_entry t clause] is the cover-cache entry of [clause], created
-    empty on first use. [clause] {b must} be normalized
-    ({!Dlearn_logic.Clause_norm.normalize}, as [Coverage.prepare] does) —
-    the cache identifies clauses up to alpha-renaming, body order and
-    duplicates. *)
+    empty on first use. [clause] {b must} be normalized ({!normalize},
+    as [Coverage.prepare] does) — the cache identifies clauses up to
+    alpha-renaming, body order and duplicates. *)
 val cover_entry : t -> Dlearn_logic.Clause.t -> Cover_set.entry
 
-(** [armg_cached t e' ckey compute] memoizes one ARMG generalization
-    against positive example [e']: [ckey] must be the canonical rendering
-    of the parent clause ([Clause.to_string (Clause.canonical c)]), and
-    [compute] the generalization itself. ARMG is deterministic in the
-    parent clause and [e']'s ground bottom clause, so a hit returns
-    byte-identical output to recomputing; {!apply_delta} drops an
-    affected example's entries together with its ground entry. Safe from
-    any domain (concurrent misses may duplicate [compute]; the
-    deterministic result makes the race benign). Counters:
-    [armg.cache_hits], [armg.computed]. *)
+(** [armg_cached t e' c compute] memoizes one ARMG generalization of
+    parent clause [c] against positive example [e']: [compute] is the
+    generalization itself. The key is [c] as given
+    ({!Dlearn_logic.Clause.equal}, body order included), because ARMG
+    walks the body in order. ARMG is deterministic in the parent clause
+    and [e']'s ground bottom clause, so a hit returns byte-identical
+    output to recomputing; {!apply_delta} drops an affected example's
+    entries together with its ground entry. Safe from any domain
+    (concurrent misses may duplicate [compute]; the deterministic result
+    makes the race benign). Counters: [armg.cache_hits],
+    [armg.computed]. *)
 val armg_cached :
   t ->
   Dlearn_relation.Tuple.t ->
-  string ->
+  Dlearn_logic.Clause.t ->
   (unit -> Dlearn_logic.Clause.t option) ->
   Dlearn_logic.Clause.t option
 

@@ -53,11 +53,11 @@ let skeleton_of (clause : Clause.t) =
 
 (* Normalization is idempotent, so the normalized clause is its own
    canonical form: the key of the cross-seed cover cache, under which
-   alpha-variants share one entry. *)
+   alpha-variants share one entry. The context memoizes it, so a clause
+   prepared again (a warm relearn, the stats pass) is not renamed
+   again. *)
 let prepare ctx clause =
-  let clause =
-    Obs.span "learn.normalize" (fun () -> Clause_norm.normalize clause)
-  in
+  let clause = Context.normalize ctx clause in
   {
     clause;
     cfd_apps =

@@ -37,12 +37,13 @@ type prepared = {
           enumeration runs *)
 }
 
-(** [prepare ctx c] rewrites [c] by {!Dlearn_logic.Clause_norm.normalize}
-    (timed under the [learn.normalize] span) and wraps the result with
-    memoized repair enumerations so that scoring over many examples
-    shares them; the memos are domain-safe. Normalization preserves
-    coverage, so every verdict computed from the record is a verdict
-    about [c]. *)
+(** [prepare ctx c] rewrites [c] to its normal form through the
+    context's memo ({!Context.normalize}: only the first prepare of a
+    clause normalizes, under the [learn.normalize] span) and wraps the
+    result with memoized repair enumerations so that scoring over many
+    examples shares them; the memos are domain-safe. Normalization
+    preserves coverage, so every verdict computed from the record is a
+    verdict about [c]. *)
 val prepare : Context.t -> Dlearn_logic.Clause.t -> prepared
 
 val covers_positive : Context.t -> prepared -> Dlearn_relation.Tuple.t -> bool

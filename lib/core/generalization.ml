@@ -61,8 +61,7 @@ let cleanup (c : Clause.t) =
   fix c
 
 let armg (ctx : Context.t) (c : Clause.t) e' =
-  let ckey = Clause.to_string (Clause.canonical c) in
-  Context.armg_cached ctx e' ckey @@ fun () ->
+  Context.armg_cached ctx e' c @@ fun () ->
   let entry = Bottom_clause.ground ctx e' in
   let target = Coverage.ground_target ctx entry in
   match Subsumption.Armg.head_unify target c.Clause.head with

@@ -30,8 +30,9 @@
     {b Cache-key contract}: [normalize] is idempotent and invariant under
     alpha-renaming and body reordering (up to the individualization
     budget, see [normalize.rename_fallbacks]), and preserves coverage —
-    [Coverage.prepare] normalizes every clause it scores and uses the
-    normalized clause directly as the cover-cache key in [Context].
+    [Coverage.prepare] normalizes every clause it scores (once per
+    context, through [Context.normalize]) and uses the normalized clause
+    directly as the cover-cache key in [Context].
 
     Counters: [normalize.clauses], [normalize.rounds],
     [normalize.duplicates], [normalize.tautologies],

@@ -266,7 +266,8 @@ let applied t rel touched =
 let handle_insert t req =
   let rel = string_exn "relation" req in
   let tuple = tuple_exn "values" req in
-  ignore (Relation.insert (relation_exn t rel) tuple);
+  let live = relation_exn t rel in
+  Obs.span "serve.write" (fun () -> ignore (Relation.insert live tuple));
   applied t rel [ tuple ]
 
 (* An update touches its new and its previous tuple: a value leaving a
@@ -280,8 +281,8 @@ let handle_update t req =
   in
   let tuple = tuple_exn "values" req in
   let live = relation_exn t rel in
-  let updated = Relation.with_tuple live id tuple in
-  Database.replace_relation t.db updated;
+  Obs.span "serve.write" (fun () ->
+      Database.replace_relation t.db (Relation.with_tuple live id tuple));
   applied t rel [ tuple; Relation.get live id ]
 
 let handle_metrics () =
@@ -290,7 +291,9 @@ let handle_metrics () =
 
 (* Dispatch one request. Reads share the RW lock; writes exclude them.
    Every handler error becomes an {"ok":false} response — a bad request
-   must not kill the connection, let alone the server. *)
+   must not kill the connection, let alone the server. [Failure] and
+   [Invalid_argument] carry a message meant for the client; any other
+   exception is reported as OCaml prints it. *)
 let handle t req =
   Obs.incr requests_c;
   let op = Protocol.op_of_request req in
@@ -313,7 +316,10 @@ let handle t req =
   try Obs.span ("serve." ^ op) dispatch
   with exn ->
     Obs.incr errors_c;
-    Protocol.error (Printexc.to_string exn)
+    Protocol.error
+      (match exn with
+      | Failure msg | Invalid_argument msg -> msg
+      | exn -> Printexc.to_string exn)
 
 (* {2 The socket loop} *)
 

@@ -292,6 +292,23 @@ let generalization_tests =
         | Some g ->
             Alcotest.(check bool) "fixpoint of head_connected" true
               (Clause.equal g (Clause.head_connected g)));
+    Alcotest.test_case "armg memo tells body orders apart" `Quick (fun () ->
+        (* ARMG walks the body in order, so a parent with its body
+           reversed generalizes differently; a warm context must answer
+           each order as a fresh one does. *)
+        let ctx = toy_ctx () in
+        let bottom = Bottom_clause.build ctx Bottom_clause.Variable (ex "m1") in
+        let rev = { bottom with Clause.body = List.rev bottom.Clause.body } in
+        let forward = Generalization.armg ctx bottom (ex "m3") in
+        let warm = Generalization.armg ctx rev (ex "m3") in
+        let cold = Generalization.armg (toy_ctx ()) rev (ex "m3") in
+        let size = Option.map Clause.body_size in
+        Alcotest.(check bool) "the orders generalize differently" false
+          (size forward = size cold);
+        Alcotest.(check (option int)) "warm size = cold size" (size cold)
+          (size warm);
+        Alcotest.(check bool) "warm = cold" true
+          (Option.equal Clause.equal warm cold));
   ]
 
 let learner_tests =

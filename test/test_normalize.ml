@@ -8,9 +8,11 @@
    the engine-soundness guards), QCheck invariance/idempotence over
    random clauses, a coverage-preservation differential over realistic
    bottom/ARMG clauses against the from-scratch reference of
-   learner_oracle.ml, and a check that alpha-variant rescoring hits the
-   cache outright. The learn differential against the reference learner
-   lives in test_incremental.ml. *)
+   learner_oracle.ml, a check that alpha-variant rescoring hits the
+   cache outright, and the context's normalization memo (one
+   normalization and one physical normal form per clause, from any
+   domain). The learn differential against the reference learner lives
+   in test_incremental.ml. *)
 
 open Dlearn_relation
 open Dlearn_constraints
@@ -439,6 +441,65 @@ let alpha_cache_test =
       ignore (score ctx bottom);
       Alcotest.(check int) "all verdicts cached" 0 (score ctx (rename bottom)))
 
+(* ------------------------------------------------------------------ *)
+(* The per-context normalization memo                                  *)
+(* ------------------------------------------------------------------ *)
+
+let normalized_c = Obs.counter "normalize.clauses"
+
+let memo_tests =
+  [
+    Alcotest.test_case "equal clauses normalize once and share the form"
+      `Quick (fun () ->
+        let ctx = make_ctx () in
+        let build () =
+          Bottom_clause.build ctx Bottom_clause.Variable (ex "m1")
+        in
+        let c1 = build () and c2 = build () in
+        Alcotest.(check bool) "separately built" false (c1 == c2);
+        Alcotest.check clause_eq "structurally equal" c1 c2;
+        let before = Obs.value normalized_c in
+        let n1 = (Coverage.prepare ctx c1).Coverage.clause in
+        let n2 = (Coverage.prepare ctx c2).Coverage.clause in
+        Alcotest.(check int) "one normalization" 1
+          (Obs.value normalized_c - before);
+        Alcotest.(check bool) "one physical normal form" true (n1 == n2);
+        Alcotest.check clause_eq "the normal form" (norm c1) n1);
+    Alcotest.test_case "prepares from 4 domains agree with normalize" `Quick
+      (fun () ->
+        let ctx = make_ctx () in
+        let bottoms =
+          Array.to_list
+            (Array.map (Bottom_clause.build ctx Bottom_clause.Variable)
+               examples)
+        in
+        let clauses =
+          bottoms
+          @ List.concat_map
+              (fun b ->
+                List.filter_map (Generalization.armg ctx b)
+                  (Array.to_list examples))
+              bottoms
+        in
+        let runs =
+          List.init 4 (fun _ ->
+              Domain.spawn (fun () ->
+                  List.map
+                    (fun c -> (Coverage.prepare ctx c).Coverage.clause)
+                    clauses))
+          |> List.map Domain.join
+        in
+        let first = List.hd runs in
+        List.iter2
+          (fun c n -> Alcotest.check clause_eq "normal form" (norm c) n)
+          clauses first;
+        List.iter
+          (fun run ->
+            Alcotest.(check bool) "every domain got the same forms" true
+              (List.for_all2 ( == ) first run))
+          runs);
+  ]
+
 let () =
   Alcotest.run "normalize"
     [
@@ -446,4 +507,5 @@ let () =
       ("canonical form", [ invariance_test; idempotence_test ]);
       ("coverage", [ coverage_preservation_test ]);
       ("differential", [ alpha_cache_test ]);
+      ("memo", memo_tests);
     ]

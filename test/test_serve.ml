@@ -182,10 +182,31 @@ let server_tests =
         Alcotest.(check bool) "unknown op rejected" false (Protocol.is_ok bad));
     Alcotest.test_case "bad requests answer, never raise" `Quick (fun () ->
         let t = Server.create (fresh_workload ()) in
+        let error req =
+          let resp = Server.handle t req in
+          Alcotest.(check bool) "ok:false" false (Protocol.is_ok resp);
+          Protocol.error_of_response resp
+        in
+        Alcotest.(check string) "unknown relation" "unknown relation \"nope\""
+          (error
+             (Protocol.request "insert"
+                [
+                  ("relation", Json.String "nope");
+                  ("values", Json.List [ Json.String "tt1" ]);
+                ]));
+        Alcotest.(check string) "out-of-range update"
+          "Relation.with_tuple: id 1000000 out of range"
+          (error (update_req "imdb_movies" 1_000_000 [ "a"; "b"; "c" ]));
         List.iter
           (fun req ->
-            Alcotest.(check bool) "ok:false" false
-              (Protocol.is_ok (Server.handle t req)))
+            let msg = error req in
+            List.iter
+              (fun prefix ->
+                Alcotest.(check bool)
+                  (Printf.sprintf "%S is not wrapped in %s" msg prefix)
+                  false
+                  (String.starts_with ~prefix msg))
+              [ "Failure("; "Invalid_argument(" ])
           [
             Protocol.request "insert" [ ("relation", Json.String "nope") ];
             Protocol.request "insert"
@@ -442,6 +463,19 @@ let server_tests =
             Alcotest.(check bool) "shutdown acknowledged" true
               (Protocol.is_ok bye);
             Client.close c));
+    Alcotest.test_case "a warm relearn with no write normalizes nothing"
+      `Quick (fun () ->
+        let normalized = Dlearn_obs.Obs.counter "normalize.clauses" in
+        let learn_req =
+          Protocol.request "learn" [ ("pos", Json.Int 6); ("neg", Json.Int 10) ]
+        in
+        let t = Server.create (fresh_workload ()) in
+        let first = clauses_of (ok_exn (Server.handle t learn_req)) in
+        let before = Dlearn_obs.Obs.value normalized in
+        let again = clauses_of (ok_exn (Server.handle t learn_req)) in
+        Alcotest.(check int) "no normalization" 0
+          (Dlearn_obs.Obs.value normalized - before);
+        Alcotest.(check (list string)) "same definition" first again);
   ]
 
 (* {2 The interleaving property}
