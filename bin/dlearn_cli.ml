@@ -82,11 +82,20 @@ let p_arg =
 
 let jobs_arg =
   let doc =
-    "Domains to fan coverage checks and cross-validation folds out over \
-     (1 = sequential; default: the machine's recommended domain count, \
-     also settable via DLEARN_NUM_DOMAINS)."
+    Printf.sprintf
+      "Domains to fan coverage checks and cross-validation folds out over, \
+       1 to %d (1 = sequential; default: the machine's recommended domain \
+       count, also settable via DLEARN_NUM_DOMAINS)."
+      Config.max_domains
   in
   Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
+
+(* Checked before any workload is generated: a pool wider than
+   [Config.max_domains] fails to spawn its workers mid-run. *)
+let check_jobs = function
+  | Some j when j < 1 || j > Config.max_domains ->
+      input_error "--jobs %d: expected 1..%d domains" j Config.max_domains
+  | Some _ | None -> ()
 
 let trace_arg =
   let doc =
@@ -144,6 +153,7 @@ let learn_cmd =
   let run dataset system n km depth p folds jobs trace report verbose =
     setup_logs verbose;
     let system = system_of_string system in
+    check_jobs jobs;
     if folds < 2 then
       input_error "--folds %d: cross-validation needs at least 2 folds" folds;
     let w = apply_overrides (make_dataset ?n dataset) km depth p in
@@ -548,6 +558,7 @@ let socket_arg =
 let serve_cmd =
   let run dataset n km depth p jobs trace verbose socket =
     setup_logs verbose;
+    check_jobs jobs;
     let w = apply_overrides (make_dataset ?n dataset) km depth p in
     let w = match jobs with Some j -> Experiment.with_jobs w j | None -> w in
     (match trace with

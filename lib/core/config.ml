@@ -23,6 +23,10 @@ type t = {
   seed : int;
 }
 
+(* OCaml 5's default [Max_domains] on 64-bit: a pool wider than this
+   cannot spawn its workers. *)
+let max_domains = 128
+
 (* DLEARN_NUM_DOMAINS overrides the hardware default so CI (and any batch
    environment) can pin the parallel or the sequential path without
    plumbing a flag through every entry point. *)
@@ -30,7 +34,7 @@ let default_num_domains () =
   match Sys.getenv_opt "DLEARN_NUM_DOMAINS" with
   | Some s -> (
       match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> n
+      | Some n when n >= 1 && n <= max_domains -> n
       | Some _ | None -> Domain.recommended_domain_count ())
   | None -> Domain.recommended_domain_count ()
 

@@ -58,7 +58,8 @@ type t = {
 (** [default ~target] — the paper's operating point: d = 3, km = 5,
     sample_size = 10, paper similarity at 0.6. [num_domains] defaults to
     [Domain.recommended_domain_count ()], overridable through the
-    [DLEARN_NUM_DOMAINS] environment variable; [trace] defaults to the
+    [DLEARN_NUM_DOMAINS] environment variable (a value outside
+    [1..max_domains] keeps the default); [trace] defaults to the
     [DLEARN_TRACE] path when that variable is set and non-empty, [None]
     otherwise. Both variables are read at each call. Whether a parallel
     batch actually fans out is no config knob: the pool's adaptive cost
@@ -66,5 +67,9 @@ type t = {
     runs the one path docs/COVERAGE.md describes: normalized candidates,
     the incremental cover cache, and the CSP subsumption kernel. *)
 val default : target:Dlearn_relation.Schema.t -> t
+
+(** The most domains a run may use, [128]: OCaml 5's default
+    [Max_domains] on 64-bit, past which [Domain.spawn] fails. *)
+val max_domains : int
 
 val pp : Format.formatter -> t -> unit

@@ -22,14 +22,11 @@ module Bitset = struct
   let is_empty t = Bytes.length t = 0
   let equal = Bytes.equal
 
-  let test_packed b i =
+  let mem t i =
     let byte = i lsr 3 in
     i >= 0
-    && byte < Bytes.length b
-    && (Char.code (Bytes.get b byte) lsr (i land 7)) land 1 = 1
-
-  let mem t i = test_packed t i
-  let of_packed b = trim (Bytes.copy b)
+    && byte < Bytes.length t
+    && (Char.code (Bytes.get t byte) lsr (i land 7)) land 1 = 1
 
   (* A copy of [t] with room for bit [bits - 1]. *)
   let ensure t bits =

@@ -42,13 +42,6 @@ module Bitset : sig
 
   val capacity : t -> int
   (** [8 * length in bytes] — ids [>= capacity] are definitely absent. *)
-
-  val of_packed : Bytes.t -> t
-  (** Adopt a raw packed buffer (e.g. [Pool.fill] output); copies and
-      trims, so later mutation of the argument is not observed. *)
-
-  val test_packed : Bytes.t -> int -> bool
-  (** Read bit [i] of a raw packed buffer without adopting it. *)
 end
 
 type entry = {

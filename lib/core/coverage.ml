@@ -261,7 +261,7 @@ let bump counter k = if k <> 0 then Obs.add counter k
    Each distinct example id is decided by, in order: the [assume] set
    (ids whose positive coverage is inherited from the ARMG parent — only
    ever non-empty for positives), the cross-seed cache, and finally an
-   actual predicate run over the residue, fanned out through [Pool.fill].
+   actual predicate run over the residue, fanned out through [Pool.map].
    New verdicts (and the inherited claims) merge monotonically into the
    cache entry under its lock; the predicates run outside any lock, so
    two domains racing on one residue id at worst duplicate idempotent
@@ -304,16 +304,17 @@ let resolve ctx prepared ~negative ~assume tuples =
       if nres = 0 then ([], [])
       else begin
         let pred = if negative then covers_negative else covers_positive in
-        let packed =
-          let p i = pred ctx prepared (snd residue_arr.(i)) in
-          Pool.fill (Context.pool ctx) ~n:nres p
+        let verdicts =
+          Pool.map (Context.pool ctx)
+            (fun (_, e) -> pred ctx prepared e)
+            residue_arr
         in
         bump stats.Context.tested nres;
         let tested_ids = ref [] and covered_ids = ref [] in
         Array.iteri
           (fun i (id, _) ->
             tested_ids := id :: !tested_ids;
-            if Bitset.test_packed packed i then covered_ids := id :: !covered_ids)
+            if verdicts.(i) then covered_ids := id :: !covered_ids)
           residue_arr;
         (!tested_ids, !covered_ids)
       end

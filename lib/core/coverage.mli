@@ -97,8 +97,8 @@ val covers_negative_batch :
 (** [coverage ctx p ~pos ~neg] counts covered positives and negatives
     (each occurrence of a duplicate tuple counted), fanning out over the
     context's domain pool. Verdicts route through the context's cross-seed
-    cover cache: known verdicts are reused, the residue is computed with a
-    chunked {!Dlearn_parallel.Pool.fill} and merged back. The counts equal
+    cover cache: known verdicts are reused, the residue is computed with
+    {!Dlearn_parallel.Pool.map} and merged back. The counts equal
     those of running {!covers_positive} and {!covers_negative} on every
     tuple. *)
 val coverage :

@@ -171,7 +171,7 @@ let learn ctx ~pos ~neg =
   preflight ctx;
   let config = ctx.Context.config in
   let target = Schema.name config.Config.target in
-  let started = Unix.gettimeofday () in
+  let started = Obs.now_ns () in
   let rec cover uncovered acc skipped =
     match uncovered with
     | [] -> (List.rev acc, skipped)
@@ -255,7 +255,7 @@ let learn ctx ~pos ~neg =
   {
     definition;
     stats;
-    seconds = Unix.gettimeofday () -. started;
+    seconds = float_of_int (Obs.now_ns () - started) /. 1e9;
     seeds_skipped = skipped;
   }
 

@@ -449,7 +449,7 @@ let side_lits st head_tbl bind_tbl t =
 let subsumes ?(budget = 200_000) ?(repair_connectivity = true) (view : view)
     (c : Clause.t) =
   Obs.span "subsumption.sat" @@ fun () ->
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.now_ns () in
   let budget = ref budget in
   let spend n =
     budget := !budget - n;
@@ -491,9 +491,8 @@ let subsumes ?(budget = 200_000) ?(repair_connectivity = true) (view : view)
             | _ -> ())
           entries;
         Sat_core.set_priority solver (Array.of_list (List.rev !prio));
-        Obs.add Stats.encode_ns
-          (int_of_float ((Unix.gettimeofday () -. t0) *. 1e9));
-        let t_solve = Unix.gettimeofday () in
+        Obs.add Stats.encode_ns (Obs.now_ns () - t0);
+        let t_solve = Obs.now_ns () in
         let pending_checks =
           List.filter_map
             (fun (l, e) -> match e with Check_pending -> Some l | _ -> None)
@@ -638,7 +637,6 @@ let subsumes ?(budget = 200_000) ?(repair_connectivity = true) (view : view)
         Obs.add Stats.conflicts s.conflicts;
         Obs.add Stats.learned s.learned;
         Obs.add Stats.restarts s.restarts;
-        Obs.add Stats.solve_ns
-          (int_of_float ((Unix.gettimeofday () -. t_solve) *. 1e9));
+        Obs.add Stats.solve_ns (Obs.now_ns () - t_solve);
         outcome
       with Exhausted -> `Budget_exhausted)

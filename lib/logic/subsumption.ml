@@ -582,7 +582,7 @@ exception Dead
 
 let subsumes_target ?(budget = 200_000) ?(repair_connectivity = true)
     (c : Clause.t) (target : target) =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.now_ns () in
   let nodes = ref 0 and props = ref 0 and wipes = ref 0 in
   let nbinds = ref 0 in
   let setup_end = ref t0 in
@@ -637,34 +637,29 @@ let subsumes_target ?(budget = 200_000) ?(repair_connectivity = true)
     | _ -> false
   in
   let record outcome =
-    let t2 = Unix.gettimeofday () in
-    let ns dt = int_of_float (dt *. 1e9) in
+    let t2 = Obs.now_ns () in
     Obs.incr Stats.solves;
     Obs.add Stats.nodes !nodes;
     Obs.add Stats.propagations !props;
     Obs.add Stats.wipeouts !wipes;
-    Obs.add Stats.setup_ns (ns (!setup_end -. t0));
-    Obs.add Stats.search_ns (ns (t2 -. !setup_end));
+    Obs.add Stats.setup_ns (!setup_end - t0);
+    Obs.add Stats.search_ns (t2 - !setup_end);
     (* Per-solve spans would be too hot for the histogram path, but while
        a trace is being recorded the solve's existing clock is worth an
-       event; solves are the leaves every other span decomposes into.
-       Both ends are rounded alike, as [Obs.span] rounds them: at this
-       clock's magnitude a float stamp moves in 256 ns steps, and an end
-       taken as [ns t0 + ns (t2 - t0)] can overlap the next span. *)
+       event; solves are the leaves every other span decomposes into. *)
     if Obs.recording () then
       Obs.emit_event
         ~args:[ ("nodes", string_of_int !nodes) ]
-        ~name:"subsumption.solve"
-        ~start_ns:(ns t0) ~dur_ns:(ns t2 - ns t0) ();
+        ~name:"subsumption.solve" ~start_ns:t0 ~dur_ns:(t2 - t0) ();
     Log.debug (fun m ->
         m "csp solve: %d nodes, %d propagations, %d wipeouts, %.1fus setup, %.1fus search"
           !nodes !props !wipes
-          ((!setup_end -. t0) *. 1e6)
-          ((t2 -. !setup_end) *. 1e6));
+          (float_of_int (!setup_end - t0) /. 1e3)
+          (float_of_int (t2 - !setup_end) /. 1e3));
     outcome
   in
   if not head_ok then begin
-    setup_end := Unix.gettimeofday ();
+    setup_end := Obs.now_ns ();
     record Not_subsumed
   end
   else begin
@@ -813,7 +808,7 @@ let subsumes_target ?(budget = 200_000) ?(repair_connectivity = true)
         end
       done;
       if !empty_domain then begin
-        setup_end := Unix.gettimeofday ();
+        setup_end := Obs.now_ns ();
         record Not_subsumed
       end
       else begin
@@ -851,7 +846,7 @@ let subsumes_target ?(budget = 200_000) ?(repair_connectivity = true)
             checks
         in
         if !failed_check then begin
-          setup_end := Unix.gettimeofday ();
+          setup_end := Obs.now_ns ();
           record Not_subsumed
         end
         else begin
@@ -935,7 +930,7 @@ let subsumes_target ?(budget = 200_000) ?(repair_connectivity = true)
                          | [], [] -> 0)
                    | c -> c)
           in
-          setup_end := Unix.gettimeofday ();
+          setup_end := Obs.now_ns ();
           (* --- search --- *)
           let assigned = Array.make (max ng 1) (-1) in
           let tr_kind = ref (Array.make 256 0) in
@@ -1321,7 +1316,7 @@ let subsumes_target ?(budget = 200_000) ?(repair_connectivity = true)
         end
       end
     with Exhausted ->
-      if !setup_end = t0 then setup_end := Unix.gettimeofday ();
+      if !setup_end = t0 then setup_end := Obs.now_ns ();
       record Budget_exhausted
   end
 

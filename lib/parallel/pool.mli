@@ -15,18 +15,20 @@
     finishes inline: tiny batches never touch a mutex, a condition
     variable, or another domain. Otherwise the remaining items
     are split into chunks (sized from [remaining / (domains * chunking)],
-    floored so each chunk is worth a minimum amount of measured work) and
-    dealt into one work-stealing {!Deque} per participant: each domain
-    drains its own deque LIFO and then steals FIFO from the others, which
-    balances load when per-item cost is skewed (as it is for coverage
-    checks, where one example may trigger a full repair enumeration while
-    its neighbours hit the fast path).
+    floored so each chunk is worth a minimum amount of measured work),
+    and every participant claims the next unclaimed chunk from one shared
+    atomic cursor until none is left. A domain that draws cheap chunks
+    keeps claiming while another finishes a slow one, which balances load
+    when per-item cost is skewed (as it is for coverage checks, where one
+    example may trigger a full repair enumeration while its neighbours
+    hit the fast path).
 
     Guarantees:
-    - {b Deterministic ordering}: [map] writes each result at its input
-      index, so the output is identical to the sequential [Array.map]
-      regardless of which domain computed which chunk — and regardless of
-      how the probe / inline / fan-out decision falls.
+    - {b Deterministic ordering}: [map] runs [f] exactly once per item and
+      writes each result at its input index, so the output is identical
+      to the sequential [Array.map] regardless of which domain computed
+      which chunk — and regardless of how the probe / inline / fan-out
+      decision falls.
     - {b Exception propagation}: if any item raises, one of the raised
       exceptions is re-raised (with its backtrace) in the submitting
       domain. Items run inline (probe or inline finish) raise directly;
@@ -54,20 +56,10 @@ val num_domains : t -> int
 val get : int -> t
 
 (** [map pool f arr] is [Array.map f arr] computed in parallel with
-    deterministic result ordering. *)
+    deterministic result ordering: the pool's one batch primitive. *)
 val map : t -> ('a -> 'b) -> 'a array -> 'b array
 
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
-
-(** [iter pool f arr] runs [f] on every element, in parallel. *)
-val iter : t -> ('a -> unit) -> 'a array -> unit
-
-(** [fill pool ~n p] packs the verdicts [p 0 .. p (n-1)] into a fresh bit
-    buffer of [(n + 7) / 8] bytes: bit [i] lives at byte [i lsr 3],
-    position [i land 7], and is set iff [p i]. The work is chunked on
-    whole-byte boundaries, so no two domains write the same byte and the
-    result equals the sequential fill bit-for-bit. *)
-val fill : t -> n:int -> (int -> bool) -> Bytes.t
 
 (** {2 Cost model}
 
@@ -76,18 +68,13 @@ val fill : t -> n:int -> (int -> bool) -> Bytes.t
     cheaper than this finish inline), minimum chunk cost 20µs. The probe
     budget is a fixed 10µs. Exposed primarily so tests can force a path:
     [set_cost_model ~fanout_threshold:0 ~min_chunk:0 ()] makes every
-    parallel-eligible batch fan out with small chunks (maximum stealing);
-    a huge [fanout_threshold] forces everything inline. *)
+    parallel-eligible batch fan out with small chunks; a huge
+    [fanout_threshold] forces everything inline. *)
 
 val set_cost_model : ?fanout_threshold:int -> ?min_chunk:int -> unit -> unit
 
 (** Restore the default cost model. *)
 val reset_cost_model : unit -> unit
-
-(** Exponentially-weighted moving average of the measured per-item cost
-    (ns) across recent batches — the cost model's feedback hook, exposed
-    for observability. [0] until the first measured batch. *)
-val last_item_cost_ns : unit -> int
 
 (** Cumulative counters since pool creation. [busy_seconds.(0)] is the
     submitting side; slots [1..] are the workers. *)
@@ -96,7 +83,6 @@ type stats = {
   tasks : int;  (** batches that fanned out to the workers *)
   chunks : int;  (** chunks claimed and run *)
   items : int;  (** items processed through parallel-eligible batches *)
-  steals : int;  (** chunks taken from another participant's deque *)
   inline_batches : int;  (** batches the cost model kept inline *)
   busy_seconds : float array;
 }

@@ -76,19 +76,6 @@ let bitset_tests =
         Alcotest.(check bool)
           "self-diff is empty" true
           (Bitset.is_empty (Bitset.diff with_high with_high)));
-    Alcotest.test_case "packed round-trip" `Quick (fun () ->
-        let b = Bytes.make 3 '\000' in
-        Bytes.set b 0 '\005';
-        (* bits 0 and 2; byte 2 is a trailing zero *)
-        let s = Bitset.of_packed b in
-        Alcotest.(check (list int)) "bits" [ 0; 2 ] (Bitset.to_list s);
-        Alcotest.(check bool) "test_packed" true (Bitset.test_packed b 2);
-        Alcotest.(check bool) "test_packed clear" false (Bitset.test_packed b 1);
-        Alcotest.(check bool) "test_packed beyond" false
-          (Bitset.test_packed b 24);
-        (* adoption copies: later mutation is not observed *)
-        Bytes.set b 0 '\255';
-        Alcotest.(check (list int)) "isolated" [ 0; 2 ] (Bitset.to_list s));
     bitset_model_test;
   ]
 
