@@ -246,12 +246,20 @@ let learn ctx ~pos ~neg =
         (Obs.value cs.Context.inherited)
         (Obs.value cs.Context.cache_hits)
         (Obs.value cs.Context.pruned));
-  Subsumption.log_stats ();
-  let st = Sat_subsumption.stats () in
+  let count name = Obs.value (Obs.counter name) in
+  let seconds name = float_of_int (count name) /. 1e9 in
+  Log.info (fun m ->
+      m
+        "csp kernel: %d solves, %d nodes, %d propagations, %d domain \
+         wipeouts, %.3fs setup, %.3fs search"
+        (count "subsumption.solves") (count "subsumption.nodes")
+        (count "subsumption.propagations") (count "subsumption.wipeouts")
+        (seconds "subsumption.setup_ns") (seconds "subsumption.search_ns"));
   Log.info (fun m ->
       m
         "sat rescue: %d solves, %d conflicts, %d learned clauses"
-        st.solves st.conflicts st.learned);
+        (count "sat.solves") (count "sat.conflicts")
+        (count "sat.learned_clauses"));
   {
     definition;
     stats;

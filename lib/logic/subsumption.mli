@@ -14,15 +14,17 @@
     for clauses with equality and similarity the paper references (§4.2).
 
     One search decides the relation (see [docs/SUBSUMPTION.md]): a
-    CSP-style matching kernel. Setup interns C's variables and D's terms
-    to dense ints and precomputes per generative literal its candidate
-    table; search runs over a mutable binding array with an undo trail,
-    forward-checks the candidate domains of connected literals on each
-    assignment, and selects literals by minimum remaining domain within
-    dynamically recomputed connected components. When the first witness
-    fails the repair-connectivity condition, the kernel hands the
-    instance to {!Sat_subsumption}, a ground instantiation into a fresh
-    CDCL solver per call, whose search backtracks through that
+    CSP-style matching kernel. Setup compiles C against D once: it
+    interns C's variables to dense ints, seeds them by head unification,
+    precomputes per generative literal its candidate table and decides
+    the checks that are ground already. The search runs over a mutable
+    binding array with an undo trail, forward-checks the candidate
+    domains of connected literals on each assignment, and selects
+    literals by minimum remaining domain within dynamically recomputed
+    connected components. When the first witness fails the
+    repair-connectivity condition, the kernel hands the compiled problem
+    to the SAT rescue, which encodes it into a fresh CDCL solver
+    ({!Sat_core}) per call and whose search backtracks through that
     condition.
 
     The search is bounded by a step budget for pathological inputs and
@@ -95,32 +97,14 @@ val subsumes_naive :
   ?budget:int -> ?repair_connectivity:bool -> Clause.t -> Clause.t -> outcome
 
 (** [subsumes_target_sat ?budget ?repair_connectivity c t] decides
-    [c ⊆θ D] with the SAT rescue alone ({!Sat_subsumption}, a fresh
-    solver per call). {!subsumes_target} calls it only when its first witness
-    fails the repair-connectivity condition; it is exported so the
-    differential tests can run it on every instance. *)
+    [c ⊆θ D] with the SAT rescue alone: it compiles C against [t] as the
+    kernel does (unmetered), then encodes the compiled problem into a
+    fresh solver. {!subsumes_target} calls the rescue only when its
+    first witness fails the repair-connectivity condition; this entry
+    point is exported so the differential tests can run it on every
+    instance. *)
 val subsumes_target_sat :
   ?budget:int -> ?repair_connectivity:bool -> Clause.t -> target -> outcome
-
-(** Process-wide counters of the CSP kernel, aggregated across domains.
-    [nodes] counts candidate assignments tried, [propagations] candidates
-    pruned by forward checking, [wipeouts] domains emptied by propagation.
-    Setup and search wall-clock time are accumulated separately. Per-solve
-    figures are logged at debug level on the [dlearn.subsumption] source. *)
-type stats = {
-  solves : int;
-  nodes : int;
-  propagations : int;
-  wipeouts : int;
-  setup_seconds : float;
-  search_seconds : float;
-}
-
-val stats : unit -> stats
-
-(** [log_stats ()] reports the accumulated counters at info level on the
-    [dlearn.subsumption] source. *)
-val log_stats : unit -> unit
 
 (** Incremental matching primitives for the generalisation step (§4.2):
     ProGolem-style ARMG walks a clause literal by literal, maintaining a

@@ -322,6 +322,7 @@ let map pool f arr =
   else begin
     let t0 = Obs.now_ns () in
     let r0 = f arr.(0) in
+    Obs.incr pool.items_c;
     let results = Array.make n r0 in
     if n > 1 then begin
       let run lo hi =

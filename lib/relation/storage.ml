@@ -106,13 +106,9 @@ let load_relation dir schema =
       ignore (Relation.insert rel (retype schema tu)));
   rel
 
-let load ?(lazy_load = false) dir =
+let load dir =
   let db = Database.create () in
   List.iter
-    (fun schema ->
-      if lazy_load then
-        Database.add_lazy db (Schema.name schema) (fun () ->
-            load_relation dir schema)
-      else Database.add_relation db (load_relation dir schema))
+    (fun schema -> Database.add_relation db (load_relation dir schema))
     (read_manifest dir);
   db

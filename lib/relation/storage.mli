@@ -9,8 +9,7 @@
 
     Large datasets need not be materialized: {!scan} streams one
     relation's tuples straight off disk (through {!Csv.fold}'s chunked
-    reader), and [load ~lazy_load:true] defers each relation's load to
-    its first access. See docs/SCALE.md. *)
+    reader). See docs/SCALE.md. *)
 
 (** [save db dir] writes [dir/manifest.txt] and [dir/<relation>.csv] for
     every relation, creating [dir] if needed. *)
@@ -48,8 +47,6 @@ val scan :
   f:('a -> Tuple.t -> 'a) ->
   'a
 
-(** [load ?lazy_load dir] reads a database saved by {!save}. With
-    [~lazy_load:true] (default false) each relation is registered
-    pending ({!Database.add_lazy}) and loaded on first access.
+(** [load dir] reads a database saved by {!save}.
     @raise Sys_error / [Invalid_argument] on missing or malformed files. *)
-val load : ?lazy_load:bool -> string -> Database.t
+val load : string -> Database.t

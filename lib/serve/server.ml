@@ -84,9 +84,6 @@ let connections_c = Obs.counter "serve.connections"
 
 let create workload =
   let db = workload.Workload.db in
-  (* Force lazily loaded relations now: [Database.replace_relation] only
-     rebinds loaded relations, and [status] counts only loaded tuples. *)
-  Database.materialize db;
   {
     workload;
     db;

@@ -185,24 +185,16 @@ let database_tests =
         Alcotest.(check (list string)) "order kept" [ "movies"; "b" ]
           (Database.relation_names db);
         Alcotest.(check int) "tuples" 3 (Database.total_tuples db));
-    Alcotest.test_case "replace_relation rejects unknown and pending names"
-      `Quick (fun () ->
+    Alcotest.test_case "replace_relation rejects unknown names" `Quick
+      (fun () ->
         let db = Database.create () in
-        Database.add_lazy db "movies" movies_relation;
-        let raises f =
-          try
-            f ();
-            false
-          with Invalid_argument _ -> true
-        in
-        Alcotest.(check bool) "pending rejected" true
-          (raises (fun () -> Database.replace_relation db (movies_relation ())));
-        Alcotest.(check bool) "still pending" false
-          (Database.is_loaded db "movies");
+        Database.add_relation db (movies_relation ());
         Alcotest.(check bool) "unknown rejected" true
-          (raises (fun () ->
-               Database.replace_relation db
-                 (Relation.create (Schema.string_attrs "nope" [ "x" ])))));
+          (try
+             Database.replace_relation db
+               (Relation.create (Schema.string_attrs "nope" [ "x" ]));
+             false
+           with Invalid_argument _ -> true));
   ]
 
 let csv_tests =
@@ -550,45 +542,6 @@ let streaming_tests =
                  ignore (Storage.scan dir "nope" ~init:0 ~f:(fun a _ -> a));
                  false
                with Invalid_argument _ -> true)));
-    Alcotest.test_case "lazy load defers relations until first access" `Quick
-      (fun () ->
-        with_temp_dir (fun dir ->
-            let db = Database.create () in
-            Database.add_relation db (movies_relation ());
-            let prices =
-              Database.create_relation db
-                (Schema.make "prices"
-                   [
-                     { Schema.attr_name = "id"; domain = Schema.Dstring };
-                     { Schema.attr_name = "amount"; domain = Schema.Dint };
-                   ])
-            in
-            ignore
-              (Relation.insert prices
-                 (Tuple.make [ Value.String "m1"; Value.Int 12 ]));
-            Storage.save db dir;
-            let db2 = Storage.load ~lazy_load:true dir in
-            Alcotest.(check int) "all pending" 2 (Database.pending_count db2);
-            Alcotest.(check bool) "movies not loaded" false
-              (Database.is_loaded db2 "movies");
-            (* Names are known without touching any CSV. *)
-            Alcotest.(check (list string)) "names visible"
-              (Database.relation_names db) (Database.relation_names db2);
-            (* First access forces exactly that relation. *)
-            let m = Database.find db2 "movies" in
-            Alcotest.(check int) "movies loaded in full"
-              (Relation.cardinality (Database.find db "movies"))
-              (Relation.cardinality m);
-            Alcotest.(check bool) "movies now loaded" true
-              (Database.is_loaded db2 "movies");
-            Alcotest.(check int) "prices still pending" 1
-              (Database.pending_count db2);
-            (* materialize forces the rest; contents match an eager load. *)
-            Database.materialize db2;
-            Alcotest.(check int) "nothing pending" 0
-              (Database.pending_count db2);
-            Alcotest.(check int) "same tuples" (Database.total_tuples db)
-              (Database.total_tuples db2)));
   ]
 
 let stress_tests =
@@ -671,88 +624,6 @@ let snapshot_tests =
           ]);
   ]
 
-(* Regression pins for the lazy-database fixes: summaries must not force
-   pending relations, and the find fast path must be safe under
-   multi-domain contention with loads in flight. *)
-let lazy_db_tests =
-  [
-    Alcotest.test_case "pp_summary and total_tuples never force" `Quick
-      (fun () ->
-        let db = Database.create () in
-        Database.add_relation db (movies_relation ());
-        let calls = ref 0 in
-        Database.add_lazy db "lazy" (fun () ->
-            incr calls;
-            let r = Relation.create (Schema.string_attrs "lazy" [ "id" ]) in
-            ignore (Relation.insert r (Tuple.of_strings [ "x" ]));
-            r);
-        let summary = Format.asprintf "%a" Database.pp_summary db in
-        Alcotest.(check bool) "summary reports pending" true
-          (let sub = "pending" in
-           let rec contains i =
-             i + String.length sub <= String.length summary
-             && (String.sub summary i (String.length sub) = sub
-                || contains (i + 1))
-           in
-           contains 0);
-        Alcotest.(check int) "loaded tuples only" 3 (Database.total_tuples db);
-        Alcotest.(check int) "loader never ran" 0 !calls;
-        Alcotest.(check bool) "still pending" false
-          (Database.is_loaded db "lazy"));
-    Alcotest.test_case "copy preserves pending relations unforced" `Quick
-      (fun () ->
-        let db = Database.create () in
-        let calls = ref 0 in
-        Database.add_lazy db "lazy" (fun () ->
-            incr calls;
-            let r = Relation.create (Schema.string_attrs "lazy" [ "id" ]) in
-            ignore (Relation.insert r (Tuple.of_strings [ "x" ]));
-            r);
-        let db' = Database.copy db in
-        Alcotest.(check int) "copy does not force" 0 !calls;
-        Alcotest.(check bool) "copy still pending" false
-          (Database.is_loaded db' "lazy");
-        (* Forcing the copy leaves the original untouched. *)
-        Alcotest.(check int) "copy loads on demand" 1
-          (Relation.cardinality (Database.find db' "lazy"));
-        Alcotest.(check bool) "original still pending" false
-          (Database.is_loaded db "lazy"));
-    Alcotest.test_case "concurrent lazy find is race-free" `Quick (fun () ->
-        (* Regression: the find fast path read the table unlocked while
-           loaders ran [Hashtbl.replace] on it. With loads in flight every
-           lookup must serialize; afterwards the atomic pending counter
-           publishes the loaded table to lock-free readers. *)
-        let db = Database.create () in
-        let rels = 8 in
-        for i = 0 to rels - 1 do
-          let name = Printf.sprintf "r%d" i in
-          Database.add_lazy db name (fun () ->
-              let r = Relation.create (Schema.string_attrs name [ "id" ]) in
-              for j = 0 to 99 do
-                ignore
-                  (Relation.insert r (Tuple.of_strings [ Printf.sprintf "k%d" j ]))
-              done;
-              r)
-        done;
-        let workers =
-          List.init 4 (fun d ->
-              Domain.spawn (fun () ->
-                  let ok = ref true in
-                  for k = 0 to 2_499 do
-                    let name = Printf.sprintf "r%d" ((k + d) land (rels - 1)) in
-                    let r = Database.find db name in
-                    if Relation.cardinality r <> 100 then ok := false
-                  done;
-                  !ok))
-        in
-        List.iter
-          (fun w ->
-            Alcotest.(check bool) "every lookup consistent" true (Domain.join w))
-          workers;
-        Alcotest.(check int) "all loaded exactly once" 0
-          (Database.pending_count db));
-  ]
-
 (* Regression pins for Storage.mkdir_p / write_manifest: nested target
    directories and already-existing directories must both work. *)
 let mkdir_tests =
@@ -818,6 +689,5 @@ let () =
       ("stress", stress_tests);
       ("properties", qcheck_tests);
       ("snapshot", snapshot_tests);
-      ("lazy_db", lazy_db_tests);
       ("mkdir", mkdir_tests);
     ]
