@@ -69,8 +69,9 @@ let micro_tests () =
   ignore (Coverage.covers_positive ctx prepared seed);
   ignore (Coverage.covers_positive ctx prepared other);
   ignore (Coverage.covers_negative ctx prepared negative);
-  let ground_entry = Bottom_clause.ground ctx seed in
-  let ground_target = Coverage.ground_target ctx ground_entry in
+  let ground_target =
+    Dlearn_parallel.Memo.force (Coverage.ground ctx seed).Context.target
+  in
   let a = "The Hidden Fortress (1984)" and b = "The Hidden Fortress - 1984" in
   let titles =
     Relation.distinct_values (Database.find w.Workload.db "omdb_movies") 1

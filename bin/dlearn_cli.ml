@@ -609,18 +609,21 @@ let client_cmd =
   in
   let run socket wait request =
     let open Dlearn_serve in
-    match Json.of_string_opt request with
-    | None ->
-        Printf.eprintf "request is not valid JSON\n";
-        exit 2
-    | Some req ->
-        let c =
-          if wait then Client.connect_retry socket else Client.connect socket
-        in
-        let resp = Client.request c req in
-        Client.close c;
-        print_endline (Json.to_string resp);
-        if not (Protocol.is_ok resp) then exit 1
+    let req =
+      try Json.of_string request
+      with Json.Parse_error msg ->
+        input_error "REQUEST %S: not valid JSON (%s)" request msg
+    in
+    let c =
+      try if wait then Client.connect_retry socket else Client.connect socket
+      with Unix.Unix_error (err, _, _) ->
+        input_error "--socket %S: cannot connect (%s)" socket
+          (Unix.error_message err)
+    in
+    let resp = Client.request c req in
+    Client.close c;
+    print_endline (Json.to_string resp);
+    if not (Protocol.is_ok resp) then exit 1
   in
   Cmd.v
     (Cmd.info "client"

@@ -694,34 +694,3 @@ let build (ctx : Context.t) mode (e : Tuple.t) =
     @ repair_literals
   in
   Clause.make ~head body
-
-(* Double-checked: the build runs outside the cache lock so distinct
-   examples ground in parallel. Two domains racing on one key both build
-   (the same clause — construction is deterministic in the example) and
-   the first insert wins, so every caller shares one entry. *)
-let ground (ctx : Context.t) e =
-  let key = Context.example_key e in
-  let cached =
-    Mutex.protect ctx.Context.ground_lock (fun () ->
-        Hashtbl.find_opt ctx.Context.ground_cache key)
-  in
-  match cached with
-  | Some entry -> entry
-  | None -> (
-      let entry =
-        {
-          Context.ground = build ctx Ground e;
-          lock = Mutex.create ();
-          cfd_apps = None;
-          repairs = None;
-          target = None;
-          repair_targets = None;
-          prefilter_target = None;
-        }
-      in
-      Mutex.protect ctx.Context.ground_lock (fun () ->
-          match Hashtbl.find_opt ctx.Context.ground_cache key with
-          | Some existing -> existing
-          | None ->
-              Hashtbl.add ctx.Context.ground_cache key entry;
-              entry))

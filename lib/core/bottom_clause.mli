@@ -26,7 +26,8 @@
     Ground mode ([Ground]) produces the ground bottom clause used by
     coverage testing (§4.3): the same construction with constants kept,
     merged values for MD replacements, and tagged constants for split
-    occurrences (related by explicit equality literals). *)
+    occurrences (related by explicit equality literals).
+    {!Coverage.ground} builds it once per example and context. *)
 
 type mode =
   | Variable
@@ -36,7 +37,3 @@ type mode =
     @raise Invalid_argument if [e]'s arity differs from the target
     schema. *)
 val build : Context.t -> mode -> Dlearn_relation.Tuple.t -> Dlearn_logic.Clause.t
-
-(** [ground ctx e] builds (and caches in [ctx]) the ground bottom clause
-    of [e]. *)
-val ground : Context.t -> Dlearn_relation.Tuple.t -> Context.ground_entry

@@ -2,16 +2,17 @@ open Dlearn_relation
 open Dlearn_constraints
 module Obs = Dlearn_obs.Obs
 
+module Memo = Dlearn_parallel.Memo
+module Clause_memo = Cover_set.Clause_memo
+
 type ground_entry = {
   ground : Dlearn_logic.Clause.t;
-  lock : Mutex.t;
-      (* guards every mutable field below: the lazily-memoized caches are
-         hit concurrently when coverage fans out over domains *)
-  mutable cfd_apps : Dlearn_logic.Clause.t list option;
-  mutable repairs : Dlearn_logic.Clause.t list option;
-  mutable target : Dlearn_logic.Subsumption.target option;
-  mutable repair_targets : Dlearn_logic.Subsumption.target list option;
-  mutable prefilter_target : Dlearn_logic.Subsumption.target option;
+  target : Dlearn_logic.Subsumption.target Memo.t;
+  repairs : Dlearn_logic.Clause.t list Memo.t;
+  repair_targets : Dlearn_logic.Subsumption.target list Memo.t;
+  prefilter_target : Dlearn_logic.Subsumption.target Memo.t;
+  cfd_apps : Dlearn_logic.Clause.t list Memo.t;
+  armg : Dlearn_logic.Clause.t option Clause_memo.t;
 }
 
 (* Incremental-coverage counters on the Obs registry ([coverage.*]
@@ -26,36 +27,43 @@ type cover_stats = {
   pruned : Obs.counter; (* candidates cut short by the score bound *)
 }
 
+module Example_memo = Memo.Table (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
+module Attr_memo = Memo.Table (struct
+  type t = string * int
+
+  let equal (r1, p1) (r2, p2) = String.equal r1 r2 && Int.equal p1 p2
+  let hash = Hashtbl.hash
+end)
+
+type tables = {
+  sim_indexes : Dlearn_similarity.Sim_index.t Attr_memo.t;
+  (* Dense example ids: every pos/neg tuple the coverage engine sees is
+     interned once; bitsets are indexed by these ids. One shared space for
+     positives and negatives — an id identifies a tuple, not a polarity. *)
+  example_ids : int Example_memo.t;
+  next_id : int Atomic.t;
+  grounds : ground_entry Example_memo.t;
+  (* canonical clause -> known coverage verdicts, shared across seeds *)
+  cover : Cover_set.entry Clause_memo.t;
+  (* clause as given -> its normal form. Normalization reads no data, so
+     no write invalidates an entry. *)
+  normal_forms : Dlearn_logic.Clause.t Clause_memo.t;
+}
+
 type t = {
   config : Config.t;
   db : Database.t;
   mds : Md.t list;
   cfds : Cfd.t list;
   mutable rng : Random.State.t;
-  sim_indexes : (string * int, Dlearn_similarity.Sim_index.t) Hashtbl.t;
-  sim_lock : Mutex.t;
-  ground_cache : (string, ground_entry) Hashtbl.t;
-  ground_lock : Mutex.t;
-  (* Dense example ids: every pos/neg tuple the coverage engine sees is
-     interned once; bitsets are indexed by these ids. One shared space for
-     positives and negatives — an id identifies a tuple, not a polarity. *)
-  example_ids : (string, int) Hashtbl.t;
-  example_lock : Mutex.t;
-  (* canonical clause -> known coverage verdicts, shared across seeds *)
-  cover_cache : Cover_set.entry Cover_set.Clause_tbl.t;
-  cover_lock : Mutex.t;
   cover_stats : cover_stats;
-  (* example key -> parent clause -> ARMG result. ARMG is deterministic
-     in (parent clause, the example's ground entry), so entries stay
-     valid exactly as long as the ground entry does; [apply_delta] drops
-     an affected example's inner table alongside its ground entry. *)
-  armg_cache :
-    (string, Dlearn_logic.Clause.t option Cover_set.Clause_tbl.t) Hashtbl.t;
-  armg_lock : Mutex.t;
-  (* clause as given -> its normal form. Normalization reads no data, so
-     no write invalidates an entry. *)
-  norm_cache : Dlearn_logic.Clause.t Cover_set.Clause_tbl.t;
-  norm_lock : Mutex.t;
+  tables : tables;
 }
 
 let create config db mds cfds =
@@ -81,24 +89,21 @@ let create config db mds cfds =
     mds;
     cfds;
     rng = Random.State.make [| config.Config.seed |];
-    sim_indexes = Hashtbl.create 8;
-    sim_lock = Mutex.create ();
-    ground_cache = Hashtbl.create 256;
-    ground_lock = Mutex.create ();
-    example_ids = Hashtbl.create 256;
-    example_lock = Mutex.create ();
-    cover_cache = Cover_set.Clause_tbl.create 256;
-    cover_lock = Mutex.create ();
-    armg_cache = Hashtbl.create 64;
-    armg_lock = Mutex.create ();
-    norm_cache = Cover_set.Clause_tbl.create 64;
-    norm_lock = Mutex.create ();
     cover_stats =
       {
         tested = Obs.counter "coverage.tested";
         inherited = Obs.counter "coverage.inherited";
         cache_hits = Obs.counter "coverage.cache_hits";
         pruned = Obs.counter "coverage.pruned";
+      };
+    tables =
+      {
+        sim_indexes = Attr_memo.create 8;
+        example_ids = Example_memo.create 256;
+        next_id = Atomic.make 0;
+        grounds = Example_memo.create 256;
+        cover = Clause_memo.create 256;
+        normal_forms = Clause_memo.create 64;
       };
   }
 
@@ -110,107 +115,37 @@ let pool t = Dlearn_parallel.Pool.get t.config.Config.num_domains
    definitions. *)
 let reset_rng t = t.rng <- Random.State.make [| t.config.Config.seed |]
 
-(* Building an index is expensive but happens once per (relation,
-   attribute); holding the lock across the build deduplicates the work
-   when several domains miss simultaneously. *)
 let sim_index t rel pos =
-  Mutex.protect t.sim_lock (fun () ->
-      match Hashtbl.find_opt t.sim_indexes (rel, pos) with
-      | Some idx -> idx
-      | None ->
-          let relation = Database.find t.db rel in
-          let values = Relation.distinct_values relation pos in
-          let idx =
-            Dlearn_similarity.Sim_index.of_values
-              ~measure:t.config.Config.sim.Md.measure
-              ~jobs:t.config.Config.num_domains values
-          in
-          Hashtbl.add t.sim_indexes (rel, pos) idx;
-          idx)
+  Attr_memo.find_or_add t.tables.sim_indexes (rel, pos) (fun () ->
+      let relation = Database.find t.db rel in
+      Dlearn_similarity.Sim_index.of_values
+        ~measure:t.config.Config.sim.Md.measure
+        ~jobs:t.config.Config.num_domains
+        (Relation.distinct_values relation pos))
 
 let example_key e = Tuple.to_string e
 
-(* Intern a tuple into the dense id space. Ids are assigned in first-seen
-   order; duplicates of one tuple share an id. *)
+(* Each key's thunk runs once, so the counter hands out dense ids in the
+   order examples are first interned; duplicates of one tuple share an
+   id. *)
 let example_id t e =
-  let key = example_key e in
-  Mutex.protect t.example_lock (fun () ->
-      match Hashtbl.find_opt t.example_ids key with
-      | Some id -> id
-      | None ->
-          let id = Hashtbl.length t.example_ids in
-          Hashtbl.add t.example_ids key id;
-          id)
+  Example_memo.find_or_add t.tables.example_ids (example_key e) (fun () ->
+      Atomic.fetch_and_add t.tables.next_id 1)
 
-let example_count t =
-  Mutex.protect t.example_lock (fun () -> Hashtbl.length t.example_ids)
+let example_count t = Atomic.get t.tables.next_id
 
-(* The cache entry of a clause, created on first use. Callers must key on
-   the prepared record's normalized clause (alpha-variants share an
-   entry); the entry's own lock guards its bitsets, this lookup only
-   guards the table. *)
+let ground t e build =
+  Example_memo.find_or_add t.tables.grounds (example_key e) build
+
+(* Callers must key on the prepared record's normalized clause
+   (alpha-variants share an entry). *)
 let cover_entry t clause =
-  Mutex.protect t.cover_lock (fun () ->
-      match Cover_set.Clause_tbl.find_opt t.cover_cache clause with
-      | Some e -> e
-      | None ->
-          let e = Cover_set.entry () in
-          Cover_set.Clause_tbl.add t.cover_cache clause e;
-          e)
+  Clause_memo.find_or_add t.tables.cover clause Cover_set.entry
 
-let armg_hits_c = Obs.counter "armg.cache_hits"
-let armg_computed_c = Obs.counter "armg.computed"
-
-(* Memoize one ARMG generalization, keyed on the parent clause itself:
-   ARMG walks the body in order, so a reordered parent is another key.
-   Concurrent misses on one key may both run [compute]; the function is
-   deterministic, so the duplicate write is harmless. *)
-let armg_cached t e' parent compute =
-  let ekey = example_key e' in
-  match
-    Mutex.protect t.armg_lock (fun () ->
-        match Hashtbl.find_opt t.armg_cache ekey with
-        | None -> None
-        | Some inner -> Cover_set.Clause_tbl.find_opt inner parent)
-  with
-  | Some r ->
-      Obs.incr armg_hits_c;
-      r
-  | None ->
-      let r = compute () in
-      Obs.incr armg_computed_c;
-      Mutex.protect t.armg_lock (fun () ->
-          let inner =
-            match Hashtbl.find_opt t.armg_cache ekey with
-            | Some inner -> inner
-            | None ->
-                let inner = Cover_set.Clause_tbl.create 8 in
-                Hashtbl.add t.armg_cache ekey inner;
-                inner
-          in
-          Cover_set.Clause_tbl.replace inner parent r);
-      r
-
-(* Normalize through the memo. A miss runs outside the lock; when two
-   domains miss on one clause, the first insert wins and both return it,
-   so every caller of one clause shares one physical normal form. *)
 let normalize t clause =
-  match
-    Mutex.protect t.norm_lock (fun () ->
-        Cover_set.Clause_tbl.find_opt t.norm_cache clause)
-  with
-  | Some n -> n
-  | None ->
-      let n =
-        Obs.span "learn.normalize" (fun () ->
-            Dlearn_logic.Clause_norm.normalize clause)
-      in
-      Mutex.protect t.norm_lock (fun () ->
-          match Cover_set.Clause_tbl.find_opt t.norm_cache clause with
-          | Some first -> first
-          | None ->
-              Cover_set.Clause_tbl.add t.norm_cache clause n;
-              n)
+  Clause_memo.find_or_add t.tables.normal_forms clause (fun () ->
+      Obs.span "learn.normalize" (fun () ->
+          Dlearn_logic.Clause_norm.normalize clause))
 
 let is_searchable_attr t rel pos =
   match t.config.Config.searchable_attrs with
@@ -242,12 +177,13 @@ let is_searchable_attr t rel pos =
    equal to some constant of the cached ground clause, or — at a
    position some MD compares — similar to one under that MD's operator.
    Affected examples lose their ground
-   entries and their bits in every cover-cache entry
-   ([Cover_set.invalidate]); similarity indexes over changed relations
-   are dropped (their distinct-value sets changed) and rebuild lazily.
-   Everything else — unaffected verdicts, the surviving examples' ground
-   entries with their repair enumerations and prepared targets, memoized
-   ARMG results, every normal form — carries across the write.
+   entries (with the ARMG results memoized in them) and their bits in
+   every cover-cache entry ([Cover_set.invalidate]); similarity indexes
+   over changed relations are dropped (their distinct-value sets changed)
+   and rebuild lazily. Everything else — unaffected verdicts, the
+   surviving examples' ground entries with their repair enumerations,
+   prepared targets and ARMG results, every normal form — carries across
+   the write.
    docs/SERVE.md states the soundness argument in full. *)
 
 let delta_commits_c = Obs.counter "delta.commits"
@@ -317,17 +253,13 @@ let apply_delta t changes =
   let changed_rels = List.map fst changes in
   (* Changed relations' similarity indexes are stale (their distinct
      values changed): drop them, they rebuild lazily on next use. *)
-  Mutex.protect t.sim_lock (fun () ->
-      let stale =
-        Hashtbl.fold
-          (fun (rel, pos) _ acc ->
-            if List.exists (String.equal rel) changed_rels then
-              (rel, pos) :: acc
-            else acc)
-          t.sim_indexes []
-      in
-      List.iter (fun key -> Hashtbl.remove t.sim_indexes key) stale;
-      Obs.add delta_sim_dropped_c (List.length stale));
+  let stale =
+    List.filter
+      (fun ((rel, _), _) -> List.exists (String.equal rel) changed_rels)
+      (Attr_memo.computed t.tables.sim_indexes)
+  in
+  List.iter (fun (key, _) -> Attr_memo.remove t.tables.sim_indexes key) stale;
+  Obs.add delta_sim_dropped_c (List.length stale);
   let changed_values =
     List.concat_map
       (fun (rel, tuples) ->
@@ -348,33 +280,25 @@ let apply_delta t changes =
   in
   (* Affected examples: scan the cached ground clauses. Every example the
      coverage engine ever tested has one (coverage always grounds first),
-     so the scan covers every recorded verdict. *)
+     so the scan covers every recorded verdict. Dropping the entry drops
+     the example's ARMG results with it. *)
   let affected =
-    Mutex.protect t.ground_lock (fun () ->
-        Hashtbl.fold
-          (fun key entry acc ->
-            let consts = clause_constants entry.ground in
-            if List.exists (value_touches consts) changed_values then
-              key :: acc
-            else acc)
-          t.ground_cache [])
+    List.filter_map
+      (fun (key, entry) ->
+        let consts = clause_constants entry.ground in
+        if List.exists (value_touches consts) changed_values then Some key
+        else None)
+      (Example_memo.computed t.tables.grounds)
   in
-  Mutex.protect t.ground_lock (fun () ->
-      List.iter (fun key -> Hashtbl.remove t.ground_cache key) affected);
-  (* ARMG results are functions of the ground entry: same lifetime. *)
-  Mutex.protect t.armg_lock (fun () ->
-      List.iter (fun key -> Hashtbl.remove t.armg_cache key) affected);
+  List.iter (Example_memo.remove t.tables.grounds) affected;
   let ids =
-    Mutex.protect t.example_lock (fun () ->
-        List.filter_map (fun key -> Hashtbl.find_opt t.example_ids key) affected)
+    List.filter_map (Example_memo.find_opt t.tables.example_ids) affected
   in
   if ids <> [] then begin
     let mask = Cover_set.Bitset.of_list ids in
-    let entries =
-      Mutex.protect t.cover_lock (fun () ->
-          Cover_set.Clause_tbl.fold (fun _ e acc -> e :: acc) t.cover_cache [])
-    in
-    List.iter (fun e -> Cover_set.invalidate e mask) entries
+    List.iter
+      (fun (_, e) -> Cover_set.invalidate e mask)
+      (Clause_memo.computed t.tables.cover)
   end;
   Obs.add delta_invalidated_c (List.length affected);
   List.length affected

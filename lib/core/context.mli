@@ -1,25 +1,36 @@
-(** Shared learning context: the database, its constraints, the
-    precomputed per-attribute similarity indexes (§5 precomputes similar
-    value pairs), and the cache of ground bottom clauses with their repair
-    enumerations — the most expensive objects of a learning run. *)
+(** Shared learning context: the database, its constraints, and the memo
+    tables of the objects a learning run builds once and reuses across
+    seeds: the per-attribute similarity indexes (§5 precomputes similar
+    value pairs), the dense example ids, the ground bottom clauses with
+    everything derived from them, the cross-seed cover cache and the
+    normal forms. Every table is a {!Dlearn_parallel.Memo.TABLE}: each
+    key computes once, and every domain asking for it shares one physical
+    value. *)
 
 type ground_entry = {
-  ground : Dlearn_logic.Clause.t;
-  lock : Mutex.t;
-      (** guards all mutable fields below — the coverage engine memoizes
-          into them from several domains at once; take it through
-          [Coverage]'s accessors rather than reading the fields directly
-          in parallel code *)
-  mutable cfd_apps : Dlearn_logic.Clause.t list option;
-  mutable repairs : Dlearn_logic.Clause.t list option;
-  mutable target : Dlearn_logic.Subsumption.target option;
-      (** the ground clause prepared for matching, built on first use *)
-  mutable repair_targets : Dlearn_logic.Subsumption.target list option;
-  mutable prefilter_target : Dlearn_logic.Subsumption.target option;
+  ground : Dlearn_logic.Clause.t;  (** the example's ground bottom clause *)
+  target : Dlearn_logic.Subsumption.target Dlearn_parallel.Memo.t;
+      (** [ground] prepared for matching *)
+  repairs : Dlearn_logic.Clause.t list Dlearn_parallel.Memo.t;
+      (** the capped enumeration of [ground]'s repaired clauses *)
+  repair_targets :
+    Dlearn_logic.Subsumption.target list Dlearn_parallel.Memo.t;
+      (** [repairs] prepared for matching *)
+  prefilter_target : Dlearn_logic.Subsumption.target Dlearn_parallel.Memo.t;
       (** the ground clause's relational part with equality literals
           linking every potentially-merged term pair — the target of the
           necessary-condition check that gates repair enumeration *)
+  cfd_apps : Dlearn_logic.Clause.t list Dlearn_parallel.Memo.t;
+      (** the CFD applications of [ground] (§4.3's intermediate
+          procedure) *)
+  armg : Dlearn_logic.Clause.t option Cover_set.Clause_memo.t;
+      (** parent clause → ARMG generalization of it against this example
+          ({!Generalization.armg}), keyed on the clause as given *)
 }
+(** Everything coverage and ARMG derive from one example's ground bottom
+    clause, each built on first use. {!Coverage.ground} is its one
+    constructor; callers force the fields directly. The entry lives until
+    {!apply_delta} drops it, and its derived objects with it. *)
 
 type cover_stats = {
   tested : Dlearn_obs.Obs.counter;
@@ -37,6 +48,9 @@ type cover_stats = {
     it). Logged by the learner on [dlearn.learner] at the end of every
     run. *)
 
+type tables
+(** The context's memo tables, reached through the accessors below. *)
+
 type t = {
   config : Config.t;
   db : Dlearn_relation.Database.t;
@@ -45,36 +59,15 @@ type t = {
   mutable rng : Random.State.t;
       (** the learner's sampling stream; {!reset_rng} rewinds it so a
           warm-context learn replays a cold run's draws exactly *)
-  sim_indexes : (string * int, Dlearn_similarity.Sim_index.t) Hashtbl.t;
-  sim_lock : Mutex.t;  (** guards [sim_indexes] *)
-  ground_cache : (string, ground_entry) Hashtbl.t;
-  ground_lock : Mutex.t;  (** guards [ground_cache] *)
-  example_ids : (string, int) Hashtbl.t;
-      (** dense example-id registry ([example_key] → id); access through
-          {!example_id} *)
-  example_lock : Mutex.t;  (** guards [example_ids] *)
-  cover_cache : Cover_set.entry Cover_set.Clause_tbl.t;
-      (** canonical clause → known coverage verdicts, shared across seeds;
-          access through {!cover_entry} *)
-  cover_lock : Mutex.t;  (** guards [cover_cache] (not the entries) *)
   cover_stats : cover_stats;
-  armg_cache :
-    (string, Dlearn_logic.Clause.t option Cover_set.Clause_tbl.t) Hashtbl.t;
-      (** example key → parent clause → memoized ARMG result; access
-          through {!armg_cached}. Entries live exactly as long as the
-          example's ground entry ({!apply_delta} drops both together). *)
-  armg_lock : Mutex.t;  (** guards [armg_cache] *)
-  norm_cache : Dlearn_logic.Clause.t Cover_set.Clause_tbl.t;
-      (** clause as given → its normal form; access through
-          {!normalize}. No write drops an entry. *)
-  norm_lock : Mutex.t;  (** guards [norm_cache] *)
+  tables : tables;
 }
 
-(** [create config db mds cfds] prepares the context: one similarity index
-    per (relation, attribute) compared by some MD (skipped in
-    exact-matching mode). MDs mentioning the target relation or relations
-    absent from [db] are rejected with [Invalid_argument] — the paper's
-    workloads key every target on an identifier that appears exactly. *)
+(** [create config db mds cfds] prepares the context with empty tables:
+    similarity indexes, bottom clauses and verdicts are built on first
+    use. MDs mentioning the target relation or relations absent from
+    [db] are rejected with [Invalid_argument] — the paper's workloads key
+    every target on an identifier that appears exactly. *)
 val create :
   Config.t ->
   Dlearn_relation.Database.t ->
@@ -100,9 +93,9 @@ val reset_rng : t -> unit
     to some constant of its cached ground bottom clause, or — at an
     attribute position some MD compares — similar to one under that
     MD's effective operator; a sound over-approximation of "the bottom
-    clause could change" (docs/SERVE.md): its ground entry and memoized
-    ARMG results are dropped and its bits leave every cover-cache
-    entry. Similarity indexes over changed relations are dropped and
+    clause could change" (docs/SERVE.md): its one ground entry is
+    dropped, with the ARMG results memoized in it, and its bits leave
+    every cover-cache entry. Similarity indexes over changed relations are dropped and
     rebuild lazily. Normal forms ({!normalize}) read no data and carry
     across. Span [delta.apply]; counters: [delta.commits],
     [delta.invalidated_examples], [delta.sim_indexes_dropped]. Callers
@@ -112,28 +105,34 @@ val apply_delta :
   t -> (string * Dlearn_relation.Tuple.t list) list -> int
 
 (** [sim_index t rel pos] is the index over the distinct values of the
-    attribute (built lazily on first use; safe to call from any domain). *)
+    attribute, built on first use. Safe from any domain. *)
 val sim_index : t -> string -> int -> Dlearn_similarity.Sim_index.t
 
 (** [example_key e] is the cache key of a training example. *)
 val example_key : Dlearn_relation.Tuple.t -> string
 
 (** [example_id t e] interns [e] into the dense id space shared by all
-    coverage bitsets, assigning ids in first-seen order. Duplicate tuples
-    share one id. Safe from any domain. *)
+    coverage bitsets, assigning ids in first-interned order. Duplicate
+    tuples share one id. Safe from any domain. *)
 val example_id : t -> Dlearn_relation.Tuple.t -> int
 
 (** Number of distinct examples interned so far. *)
 val example_count : t -> int
 
+(** [ground t e build] is [e]'s memoized ground entry; [build] makes it
+    on first use. {!Coverage.ground} is the one caller, so every entry
+    has one builder. Safe from any domain. *)
+val ground :
+  t -> Dlearn_relation.Tuple.t -> (unit -> ground_entry) -> ground_entry
+
 (** [normalize t c] is {!Dlearn_logic.Clause_norm.normalize}[ c],
     memoized per context on [c] as given ({!Dlearn_logic.Clause.equal}).
-    Only a miss normalizes, inside the [learn.normalize] span. Every call
-    on clauses equal to [c] returns one physical normal form, also when
-    domains miss at once (the first insert wins). The memo grows by one
-    entry per distinct clause, like the cover cache; {!apply_delta}
-    leaves it alone, since normalization reads no data. Safe from any
-    domain. *)
+    Only the first call on a clause normalizes, inside the
+    [learn.normalize] span, also when domains ask at once; every call on
+    clauses equal to [c] returns one physical normal form. The memo grows
+    by one entry per distinct clause, like the cover cache;
+    {!apply_delta} leaves it alone, since normalization reads no data.
+    Safe from any domain. *)
 val normalize : t -> Dlearn_logic.Clause.t -> Dlearn_logic.Clause.t
 
 (** [cover_entry t clause] is the cover-cache entry of [clause], created
@@ -141,24 +140,6 @@ val normalize : t -> Dlearn_logic.Clause.t -> Dlearn_logic.Clause.t
     as [Coverage.prepare] does) — the cache identifies clauses up to
     alpha-renaming, body order and duplicates. *)
 val cover_entry : t -> Dlearn_logic.Clause.t -> Cover_set.entry
-
-(** [armg_cached t e' c compute] memoizes one ARMG generalization of
-    parent clause [c] against positive example [e']: [compute] is the
-    generalization itself. The key is [c] as given
-    ({!Dlearn_logic.Clause.equal}, body order included), because ARMG
-    walks the body in order. ARMG is deterministic in the parent clause
-    and [e']'s ground bottom clause, so a hit returns byte-identical
-    output to recomputing; {!apply_delta} drops an affected example's
-    entries together with its ground entry. Safe from any domain
-    (concurrent misses may duplicate [compute]; the deterministic result
-    makes the race benign). Counters: [armg.cache_hits],
-    [armg.computed]. *)
-val armg_cached :
-  t ->
-  Dlearn_relation.Tuple.t ->
-  Dlearn_logic.Clause.t ->
-  (unit -> Dlearn_logic.Clause.t option) ->
-  Dlearn_logic.Clause.t option
 
 (** [is_constant_attr t rel pos] holds when clauses represent that
     attribute's values as constants. *)

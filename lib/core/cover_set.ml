@@ -1,7 +1,7 @@
 (* Dense coverage sets for the incremental coverage engine: an immutable
    bitset over [Bytes] indexed by the context's dense example ids, the
    per-clause cache entry holding tested/covered sets for both coverage
-   predicates, and the canonical-clause hashtable the cache is keyed on. *)
+   predicates, and the canonical-clause tables the caches are keyed on. *)
 
 module Bitset = struct
   (* Bit [i] lives at byte [i lsr 3], position [i land 7]. Invariant: the
@@ -153,6 +153,25 @@ let entry () =
     neg_covered = Bitset.empty;
   }
 
+let known e ~negative =
+  Mutex.protect e.lock (fun () ->
+      if negative then (e.neg_tested, e.neg_covered)
+      else (e.pos_tested, e.pos_covered))
+
+(* Merges are monotone: sets only grow, so concurrent merges of
+   individually correct verdicts commute. *)
+let record e ~negative ~tested ~covered =
+  if tested <> [] then
+    Mutex.protect e.lock (fun () ->
+        if negative then begin
+          e.neg_tested <- Bitset.add_list e.neg_tested tested;
+          e.neg_covered <- Bitset.add_list e.neg_covered covered
+        end
+        else begin
+          e.pos_tested <- Bitset.add_list e.pos_tested tested;
+          e.pos_covered <- Bitset.add_list e.pos_covered covered
+        end)
+
 (* Forget the verdicts of the masked example ids — the monotone
    invalidation a committed tuple delta triggers: the ids leave both the
    tested and covered sets, so the next query recomputes them against
@@ -166,9 +185,12 @@ let invalidate e mask =
 
 (* Canonical-clause keys: structural equality on the (sorted,
    deduplicated) body, hashed over every literal — no string rendering. *)
-module Clause_tbl = Hashtbl.Make (struct
+module Clause_key = struct
   type t = Dlearn_logic.Clause.t
 
   let equal = Dlearn_logic.Clause.equal
   let hash = Dlearn_logic.Clause.hash
-end)
+end
+
+module Clause_tbl = Hashtbl.Make (Clause_key)
+module Clause_memo = Dlearn_parallel.Memo.Table (Clause_key)

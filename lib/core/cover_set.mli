@@ -2,8 +2,8 @@
 
     [Bitset] is an immutable set of dense example ids (see
     {!Context.example_id}) packed into [Bytes]; [entry] is the per-clause
-    cache record of known coverage verdicts; [Clause_tbl] is the hashtable
-    the cache is keyed on (canonical clause forms). See docs/COVERAGE.md. *)
+    cache record of known coverage verdicts; [Clause_tbl] and
+    [Clause_memo] are the tables keyed on clauses. See docs/COVERAGE.md. *)
 
 module Bitset : sig
   type t
@@ -44,28 +44,37 @@ module Bitset : sig
   (** [8 * length in bytes] — ids [>= capacity] are definitely absent. *)
 end
 
-type entry = {
-  lock : Mutex.t;
-  mutable pos_tested : Bitset.t;
-  mutable pos_covered : Bitset.t;
-  mutable neg_tested : Bitset.t;
-  mutable neg_covered : Bitset.t;
-}
-(** Known coverage verdicts for one canonical clause: [*_tested] holds the
-    example ids whose verdict is recorded, [*_covered ⊆ *_tested] the ones
-    that came out covered. All four fields are read and merged under
-    [lock]; merges are monotone (sets only grow). *)
+type entry
+(** Known coverage verdicts for one canonical clause: per polarity, the
+    example ids whose verdict is recorded and the subset that came out
+    covered. Reads and merges take the entry's own lock; merges are
+    monotone (sets only grow). *)
 
 val entry : unit -> entry
 (** A fresh all-empty entry with its own lock. *)
 
+val known : entry -> negative:bool -> Bitset.t * Bitset.t
+(** [known e ~negative] is the [(tested, covered)] pair of one polarity,
+    [covered ⊆ tested]. *)
+
+val record :
+  entry -> negative:bool -> tested:int list -> covered:int list -> unit
+(** [record e ~negative ~tested ~covered] merges verdicts into one
+    polarity: the ids of [tested] are known, those of [covered ⊆ tested]
+    came out covered. *)
+
 val invalidate : entry -> Bitset.t -> unit
 (** [invalidate e mask] forgets the verdicts of the ids in [mask] (they
-    leave the tested and covered sets of both polarities, under the
-    entry's lock) — the per-example invalidation a committed tuple delta
-    triggers; every other verdict survives. *)
+    leave the tested and covered sets of both polarities) — the
+    per-example invalidation a committed tuple delta triggers; every
+    other verdict survives. *)
 
 module Clause_tbl : Hashtbl.S with type key = Dlearn_logic.Clause.t
-(** Hashtable keyed on canonical clauses (the cover cache keys on
-    [Clause_norm.normalize] output): structural equality,
+(** Hashtable keyed on clauses: structural equality,
     {!Dlearn_logic.Clause.hash} over every literal. *)
+
+module Clause_memo :
+  Dlearn_parallel.Memo.TABLE with type key = Dlearn_logic.Clause.t
+(** Memo table with the same keys: the cover cache (keyed on
+    [Clause_norm.normalize] output), the normal-form memo and each ground
+    entry's ARMG memo. *)

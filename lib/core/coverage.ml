@@ -76,53 +76,54 @@ let has_cfd_repairs (c : Clause.t) =
       | _ -> false)
     c.Clause.body
 
-(* The per-entry caches below memoize under the entry's lock so that
-   concurrent coverage checks of one example from several domains compute
-   each object once and share it. The [_unlocked] variants exist for the
-   accessors that need one another (repair targets need the repairs):
-   stdlib mutexes are not reentrant, so only the outermost accessor
-   locks. *)
-
-let ground_cfd_apps ctx (entry : Context.ground_entry) =
-  Mutex.protect entry.Context.lock (fun () ->
-      match entry.Context.cfd_apps with
-      | Some apps -> apps
-      | None ->
-          let apps =
-            enumerate ctx "ground_cfd" Clause_repair.cfd_applications
-              entry.Context.ground
-          in
-          entry.Context.cfd_apps <- Some apps;
-          apps)
-
 (* Target-side normalization: ground bottom clauses only admit exact
    duplicate removal (their restriction literals are closure data, see
    Clause_norm.dedup_target); it shrinks the candidate tables
    Subsumption.prepare builds. *)
 let prepare_target c = Subsumption.prepare (Clause_norm.dedup_target c)
 
-let ground_target (_ : Context.t) (entry : Context.ground_entry) =
-  Mutex.protect entry.Context.lock (fun () ->
-      match entry.Context.target with
-      | Some t -> t
-      | None ->
-          let t = prepare_target entry.Context.ground in
-          entry.Context.target <- Some t;
-          t)
+(* Ge's relational part, with equality literals unioning every pair of
+   terms some repair group might make identical — the over-approximation
+   of all possible merges that the skeleton is matched against. *)
+let prefilter_clause (ge : Clause.t) =
+  let merge_eqs =
+    List.filter_map
+      (function
+        | Literal.Repair { subject; replacement; _ } ->
+            Some (Literal.Eq (subject, replacement))
+        | _ -> None)
+      ge.Clause.body
+  in
+  Clause.make ~head:ge.Clause.head (Clause.rel_body ge @ merge_eqs)
 
-let ground_repairs_unlocked ctx (entry : Context.ground_entry) =
-  match entry.Context.repairs with
-  | Some rs -> rs
-  | None ->
-      let rs =
-        enumerate ctx "ground" Clause_repair.repaired_clauses
-          entry.Context.ground
-      in
-      entry.Context.repairs <- Some rs;
-      rs
+(* The example's ground bottom clause, built once per context, with the
+   objects coverage and ARMG derive from it, each built on first use. *)
+let ground ctx e =
+  Context.ground ctx e @@ fun () ->
+  let ge = Bottom_clause.build ctx Bottom_clause.Ground e in
+  let repairs =
+    Memo.make (fun () ->
+        enumerate ctx "ground" Clause_repair.repaired_clauses ge)
+  in
+  {
+    Context.ground = ge;
+    target = Memo.make (fun () -> prepare_target ge);
+    repairs;
+    repair_targets =
+      Memo.make (fun () -> List.map prepare_target (Memo.force repairs));
+    prefilter_target =
+      Memo.make (fun () -> prepare_target (prefilter_clause ge));
+    cfd_apps =
+      Memo.make (fun () ->
+          enumerate ctx "ground_cfd" Clause_repair.cfd_applications ge);
+    armg = Cover_set.Clause_memo.create 8;
+  }
 
-let ground_repairs ctx (entry : Context.ground_entry) =
-  Mutex.protect entry.Context.lock (fun () -> ground_repairs_unlocked ctx entry)
+let passes_prefilter ctx prepared entry =
+  let budget = ctx.Context.config.Config.subsumption_budget in
+  Subsumption.subsumes_target_bool ~budget ~repair_connectivity:false
+    (Memo.force prepared.skeleton)
+    (Memo.force entry.Context.prefilter_target)
 
 (* Fast path: Definition 4.4 subsumption against the ground bottom clause
    is sound for coverage (Theorem 4.6). When it fails, decide Definition
@@ -130,60 +131,17 @@ let ground_repairs ctx (entry : Context.ground_entry) =
    clause of Ge — the repairs of Ge stand in for the repairs of the
    database by Theorem 4.11. Both sides are repair-free there, so the
    connectivity condition is vacuous. *)
-let ground_repair_targets ctx (entry : Context.ground_entry) =
-  Mutex.protect entry.Context.lock (fun () ->
-      match entry.Context.repair_targets with
-      | Some ts -> ts
-      | None ->
-          let ts =
-            List.map
-              prepare_target
-              (ground_repairs_unlocked ctx entry)
-          in
-          entry.Context.repair_targets <- Some ts;
-          ts)
-
-(* Ge's relational part, with equality literals unioning every pair of
-   terms some repair group might make identical — the over-approximation
-   of all possible merges that the skeleton is matched against. *)
-let prefilter_target (_ : Context.t) (entry : Context.ground_entry) =
-  Mutex.protect entry.Context.lock (fun () ->
-      match entry.Context.prefilter_target with
-      | Some t -> t
-      | None ->
-          let ge = entry.Context.ground in
-          let merge_eqs =
-            List.filter_map
-              (function
-                | Literal.Repair { subject; replacement; _ } ->
-                    Some (Literal.Eq (subject, replacement))
-                | _ -> None)
-              ge.Clause.body
-          in
-          let target_clause =
-            Clause.make ~head:ge.Clause.head (Clause.rel_body ge @ merge_eqs)
-          in
-          let t = prepare_target target_clause in
-          entry.Context.prefilter_target <- Some t;
-          t)
-
-let passes_prefilter ctx prepared entry =
-  let budget = ctx.Context.config.Config.subsumption_budget in
-  Subsumption.subsumes_target_bool ~budget ~repair_connectivity:false
-    (Memo.force prepared.skeleton)
-    (prefilter_target ctx entry)
-
 let covers_positive ctx prepared e =
   let budget = ctx.Context.config.Config.subsumption_budget in
-  let entry = Bottom_clause.ground ctx e in
+  let entry = ground ctx e in
   if
     Subsumption.subsumes_target_bool ~budget prepared.clause
-      (ground_target ctx entry)
+      (Memo.force entry.Context.target)
   then true
   else if not (passes_prefilter ctx prepared entry) then false
   else begin
     let crs = Memo.force prepared.repairs in
-    let grs = ground_repair_targets ctx entry in
+    let grs = Memo.force entry.Context.repair_targets in
     crs <> []
     && List.for_all
          (fun cr ->
@@ -197,11 +155,11 @@ let covers_positive ctx prepared e =
 
 let covers_negative ctx prepared e =
   let budget = ctx.Context.config.Config.subsumption_budget in
-  let entry = Bottom_clause.ground ctx e in
+  let entry = ground ctx e in
   if not (passes_prefilter ctx prepared entry) then false
   else
   let crs = Memo.force prepared.repairs in
-  let grs = ground_repair_targets ctx entry in
+  let grs = Memo.force entry.Context.repair_targets in
   List.exists
     (fun cr ->
       List.exists
@@ -222,7 +180,7 @@ let covers_negative ctx prepared e =
    test pinning their equivalence. *)
 let covers_positive_cfd_split ?(prefilter = true) ctx prepared e =
   let budget = ctx.Context.config.Config.subsumption_budget in
-  let entry = Bottom_clause.ground ctx e in
+  let entry = ground ctx e in
   let ge = entry.Context.ground in
   if Subsumption.subsumes_bool ~budget prepared.clause ge then true
   else if prefilter && not (passes_prefilter ctx prepared entry) then false
@@ -230,7 +188,7 @@ let covers_positive_cfd_split ?(prefilter = true) ctx prepared e =
     false
   else begin
     let cas = Memo.force prepared.cfd_apps in
-    let gas = ground_cfd_apps ctx entry in
+    let gas = Memo.force entry.Context.cfd_apps in
     cas <> []
     && List.for_all
          (fun ca ->
@@ -263,9 +221,8 @@ let bump counter k = if k <> 0 then Obs.add counter k
    ever non-empty for positives), the cross-seed cache, and finally an
    actual predicate run over the residue, fanned out through [Pool.map].
    New verdicts (and the inherited claims) merge monotonically into the
-   cache entry under its lock; the predicates run outside any lock, so
-   two domains racing on one residue id at worst duplicate idempotent
-   work. Returns the interned ids (aligned with [tuples]) and the covered
+   cache entry; the predicates run outside any lock, so two domains
+   racing on one residue id at worst duplicate idempotent work. Returns the interned ids (aligned with [tuples]) and the covered
    set restricted to this universe. *)
 let resolve ctx prepared ~negative ~assume tuples =
   let ids = List.map (fun e -> Context.example_id ctx e) tuples in
@@ -277,12 +234,7 @@ let resolve ctx prepared ~negative ~assume tuples =
     begin
     let stats = ctx.Context.cover_stats in
     let entry = Context.cover_entry ctx prepared.clause in
-    let tested, covered =
-      Mutex.protect entry.Cover_set.lock (fun () ->
-          if negative then
-            (entry.Cover_set.neg_tested, entry.Cover_set.neg_covered)
-          else (entry.Cover_set.pos_tested, entry.Cover_set.pos_covered))
-    in
+    let tested, covered = Cover_set.known entry ~negative in
     let seen = Hashtbl.create 16 in
     let inherited = ref [] and cached = ref [] and residue = ref [] in
     List.iter2
@@ -319,22 +271,8 @@ let resolve ctx prepared ~negative ~assume tuples =
         (!tested_ids, !covered_ids)
       end
     in
-    if new_tested <> [] || !inherited <> [] then
-      Mutex.protect entry.Cover_set.lock (fun () ->
-          if negative then begin
-            entry.Cover_set.neg_tested <-
-              Bitset.add_list entry.Cover_set.neg_tested new_tested;
-            entry.Cover_set.neg_covered <-
-              Bitset.add_list entry.Cover_set.neg_covered new_covered
-          end
-          else begin
-            entry.Cover_set.pos_tested <-
-              Bitset.add_list entry.Cover_set.pos_tested
-                (!inherited @ new_tested);
-            entry.Cover_set.pos_covered <-
-              Bitset.add_list entry.Cover_set.pos_covered
-                (!inherited @ new_covered)
-          end);
+    Cover_set.record entry ~negative ~tested:(!inherited @ new_tested)
+      ~covered:(!inherited @ new_covered);
     (ids, Bitset.of_list (!inherited @ !cached @ new_covered))
   end
 
@@ -373,18 +311,11 @@ let score_candidate ctx prepared ~assume ~pos ~neg ~bound =
   let pids, pcov = resolve ctx prepared ~negative:false ~assume pos in
   let p = count_ids pcov pids in
   let entry = Context.cover_entry ctx prepared.clause in
-  let tested, covered =
-    Mutex.protect entry.Cover_set.lock (fun () ->
-        (entry.Cover_set.neg_tested, entry.Cover_set.neg_covered))
-  in
+  let tested, covered = Cover_set.known entry ~negative:true in
   let new_tested = ref [] and new_covered = ref [] in
   let merge () =
-    if !new_tested <> [] then
-      Mutex.protect entry.Cover_set.lock (fun () ->
-          entry.Cover_set.neg_tested <-
-            Bitset.add_list entry.Cover_set.neg_tested !new_tested;
-          entry.Cover_set.neg_covered <-
-            Bitset.add_list entry.Cover_set.neg_covered !new_covered)
+    Cover_set.record entry ~negative:true ~tested:!new_tested
+      ~covered:!new_covered
   in
   let fresh = Hashtbl.create 16 in
   let rec sweep n = function

@@ -17,9 +17,10 @@
 
     Per-example coverage is embarrassingly parallel: {!coverage} and the
     batch predicates fan out over the context's domain pool
-    ([Config.num_domains]); all shared per-clause and per-example caches
-    memoize under locks, so the parallel results are bitwise identical to
-    the sequential path (see docs/PARALLELISM.md). *)
+    ([Config.num_domains]); every shared per-clause and per-example cache
+    is a {!Dlearn_parallel.Memo} cell or table, so each object is built
+    once and the parallel results are bitwise identical to the
+    sequential path (see docs/PARALLELISM.md). *)
 
 module Bitset = Cover_set.Bitset
 
@@ -48,29 +49,14 @@ val prepare : Context.t -> Dlearn_logic.Clause.t -> prepared
 
 val covers_positive : Context.t -> prepared -> Dlearn_relation.Tuple.t -> bool
 
-(** [ground_target ctx entry] is the example's ground bottom clause,
-    stripped of exact duplicates ({!Dlearn_logic.Clause_norm.dedup_target})
-    and prepared for subsumption, cached in the entry (under its lock).
-    The targets of {!ground_repair_targets} and {!prefilter_target} are
-    stripped the same way. *)
-val ground_target :
-  Context.t -> Context.ground_entry -> Dlearn_logic.Subsumption.target
-
-(** [ground_repairs ctx entry] is the capped enumeration of the ground
-    clause's repaired clauses, cached in the entry (under its lock). *)
-val ground_repairs :
-  Context.t -> Context.ground_entry -> Dlearn_logic.Clause.t list
-
-(** [ground_repair_targets ctx entry] is {!ground_repairs} prepared for
-    subsumption, cached in the entry (under its lock). *)
-val ground_repair_targets :
-  Context.t -> Context.ground_entry -> Dlearn_logic.Subsumption.target list
-
-(** [prefilter_target ctx entry] is the ground clause's relational part
-    with merge equalities, prepared; cached in the entry (under its
-    lock). *)
-val prefilter_target :
-  Context.t -> Context.ground_entry -> Dlearn_logic.Subsumption.target
+(** [ground ctx e] is [e]'s ground entry in [ctx]: the ground bottom
+    clause ({!Bottom_clause.build} in [Ground] mode), built on first use,
+    with memo cells for what coverage and ARMG derive from it. [target],
+    [repair_targets] and [prefilter_target] are stripped of exact
+    duplicates ({!Dlearn_logic.Clause_norm.dedup_target}) and prepared
+    for subsumption; [repairs] and [cfd_apps] are enumerated under the
+    configured caps, inside the [coverage.repair_enum] span. *)
+val ground : Context.t -> Dlearn_relation.Tuple.t -> Context.ground_entry
 
 val covers_negative : Context.t -> prepared -> Dlearn_relation.Tuple.t -> bool
 

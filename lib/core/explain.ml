@@ -15,7 +15,7 @@ let format_direct theta (clause : Clause.t) =
 
 let positive (ctx : Context.t) clause e =
   let budget = ctx.Context.config.Config.subsumption_budget in
-  let entry = Bottom_clause.ground ctx e in
+  let entry = Coverage.ground ctx e in
   let ge = entry.Context.ground in
   match Subsumption.subsumes ~budget clause ge with
   | Subsumption.Subsumed theta -> Some (format_direct theta clause)
@@ -26,9 +26,7 @@ let positive (ctx : Context.t) clause e =
         (* Name the repaired-clause pair supporting each part of the
            Definition 3.4 check. *)
         let crs = Dlearn_parallel.Memo.force prepared.Coverage.repairs in
-        let grs =
-          match entry.Context.repairs with Some rs -> rs | None -> []
-        in
+        let grs = Dlearn_parallel.Memo.force entry.Context.repairs in
         let buf = Buffer.create 256 in
         Buffer.add_string buf
           "covered through the repair semantics (Definition 3.4):\n";

@@ -1,4 +1,6 @@
 open Dlearn_logic
+module Memo = Dlearn_parallel.Memo
+module Obs = Dlearn_obs.Obs
 
 (* Deduplicate substitutions on their binding lists: polymorphic hash plus
    structural equality, no string rendering. *)
@@ -60,10 +62,8 @@ let cleanup (c : Clause.t) =
   in
   fix c
 
-let armg (ctx : Context.t) (c : Clause.t) e' =
-  Context.armg_cached ctx e' c @@ fun () ->
-  let entry = Bottom_clause.ground ctx e' in
-  let target = Coverage.ground_target ctx entry in
+(* The beam search of one ARMG step against [target]. *)
+let generalize (ctx : Context.t) target (c : Clause.t) =
   match Subsumption.Armg.head_unify target c.Clause.head with
   | None -> None
   | Some theta0 ->
@@ -105,3 +105,22 @@ let armg (ctx : Context.t) (c : Clause.t) e' =
           c.Clause.body
       in
       Some (cleanup { c with Clause.body = kept })
+
+let armg_hits_c = Obs.counter "armg.cache_hits"
+let armg_computed_c = Obs.counter "armg.computed"
+
+(* Memoized in [e']'s ground entry, keyed on the parent clause itself:
+   ARMG walks the body in order, so a reordered parent is another key.
+   ARMG is deterministic in the parent and the ground entry, so a hit
+   answers exactly what recomputing would. *)
+let armg (ctx : Context.t) (c : Clause.t) e' =
+  let entry = Coverage.ground ctx e' in
+  let computed = ref false in
+  let r =
+    Cover_set.Clause_memo.find_or_add entry.Context.armg c (fun () ->
+        computed := true;
+        Obs.incr armg_computed_c;
+        generalize ctx (Memo.force entry.Context.target) c)
+  in
+  if not !computed then Obs.incr armg_hits_c;
+  r

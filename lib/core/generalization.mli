@@ -13,7 +13,12 @@
 
 (** [armg ctx c e'] generalises [c] to cover [e'], or [None] when even the
     head cannot be mapped onto [e']'s ground bottom clause. The result
-    θ-subsumes [c] (it is [c] minus literals). *)
+    θ-subsumes [c] (it is [c] minus literals). It is memoized in [e']'s
+    ground entry ({!Context.ground_entry}[.armg]) on [c] as given
+    ({!Dlearn_logic.Clause.equal}, body order included): each (parent,
+    example) pair computes once, also when domains ask at once, and
+    {!Context.apply_delta} drops the memo with the entry. Counters:
+    [armg.computed] per computation, [armg.cache_hits] per other call. *)
 val armg :
   Context.t ->
   Dlearn_logic.Clause.t ->

@@ -64,7 +64,7 @@ type t = {
   mutable job : job option;
   mutable generation : int;
   mutable stopping : bool;
-  submit_m : Mutex.t; (* serializes submitters *)
+  submit_m : Mutex.t; (* held by the submitter of the job in flight *)
   (* Counters live on the Obs registry under [pool.<size>.*] — pools of
      one size are process-wide singletons (see [get]), so the registry
      name is the pool's identity. The busy array stays local: one slot
@@ -231,11 +231,11 @@ let shutdown pool =
   List.iter Domain.join workers;
   if workers <> [] then log_stats pool
 
-(* Publish the job, work on it, then wait for stragglers. The submit lock
-   keeps concurrent submitters (and their jobs) strictly ordered; it is
-   released even when spawning the workers fails. *)
+(* Publish the job, work on it, then wait for stragglers. The caller holds
+   the submit lock, which keeps one job in flight; it is released here,
+   even when spawning the workers fails. *)
 let run_job pool job =
-  Mutex.protect pool.submit_m (fun () ->
+  Fun.protect ~finally:(fun () -> Mutex.unlock pool.submit_m) (fun () ->
       ensure_workers pool;
       Obs.incr pool.tasks_c;
       Mutex.protect pool.m (fun () ->
@@ -291,12 +291,18 @@ let run_rest pool ~t0 run n =
     if
       threshold > 0
       && (remaining * per_item < threshold || min pool.size (Lazy.force cores) <= 1)
+      (* Another submitter's batch is in flight: finish inline rather than
+         wait for it. Waiting could deadlock, since this caller may be
+         computing a [Memo] cell that a chunk of that batch is blocked
+         on. *)
+      || not (Mutex.try_lock pool.submit_m)
     then begin
       Obs.incr pool.inline_c;
       Obs.add pool.items_c remaining;
       run probed n
     end
     else begin
+      (* Holding the submit lock, which [run_job] releases. *)
       let by_cost = Atomic.get min_chunk_ns / per_item in
       let chunk_size =
         min remaining (max 1 (max (remaining / (pool.size * chunking)) by_cost))

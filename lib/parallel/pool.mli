@@ -37,6 +37,12 @@
     - {b Reentrancy}: a batch submitted from inside a pool task (any
       domain, including the submitter while it participates) runs
       sequentially in place instead of deadlocking on the pool.
+    - {b Concurrent submitters}: the pool runs one fanned-out batch at a
+      time. A batch that would fan out while another submitter's batch
+      is in flight (two serve requests on their own threads) finishes
+      inline on its caller instead of waiting for the pool: the caller
+      may be computing a {!Memo} cell that a chunk of the batch in
+      flight is blocked on, so waiting could deadlock.
     - {b Sequential path}: a pool of size [<= 1] spawns no domains and
       runs every batch as a plain sequential loop — bit-for-bit the
       pre-parallelism behaviour. *)
@@ -83,7 +89,9 @@ type stats = {
   tasks : int;  (** batches that fanned out to the workers *)
   chunks : int;  (** chunks claimed and run *)
   items : int;  (** items processed through parallel-eligible batches *)
-  inline_batches : int;  (** batches the cost model kept inline *)
+  inline_batches : int;
+      (** batches kept inline, by the cost model or because another
+          submitter's batch was in flight *)
   busy_seconds : float array;
 }
 

@@ -189,10 +189,17 @@ let parse_number cur =
       | Some f -> Float f
       | None -> fail cur ("bad number " ^ s))
 
-let rec parse_value cur =
+(* Containers nest by recursion, so a hostile document of a few million
+   brackets would overflow the stack; documents of this repo nest a
+   handful of levels. *)
+let max_depth = 1000
+
+let rec parse_value cur depth =
   skip_ws cur;
   match peek cur with
   | None -> fail cur "unexpected end of input"
+  | Some ('{' | '[') when depth >= max_depth ->
+      fail cur (Printf.sprintf "nesting deeper than %d" max_depth)
   | Some '"' -> String (parse_string cur)
   | Some '{' ->
       advance cur;
@@ -208,7 +215,7 @@ let rec parse_value cur =
           let key = parse_string cur in
           skip_ws cur;
           expect cur ':';
-          let v = parse_value cur in
+          let v = parse_value cur (depth + 1) in
           fields := (key, v) :: !fields;
           skip_ws cur;
           match peek cur with
@@ -231,7 +238,7 @@ let rec parse_value cur =
       else begin
         let items = ref [] in
         let rec elements () =
-          let v = parse_value cur in
+          let v = parse_value cur (depth + 1) in
           items := v :: !items;
           skip_ws cur;
           match peek cur with
@@ -252,7 +259,7 @@ let rec parse_value cur =
 
 let of_string s =
   let cur = { text = s; pos = 0 } in
-  let v = parse_value cur in
+  let v = parse_value cur 0 in
   skip_ws cur;
   if cur.pos <> String.length s then fail cur "trailing garbage";
   v

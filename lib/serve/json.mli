@@ -19,8 +19,12 @@ exception Parse_error of string
 val to_string : t -> string
 (** Compact rendering (no insignificant whitespace). *)
 
+val max_depth : int
+(** Deepest nesting of arrays and objects {!of_string} accepts (1000). *)
+
 val of_string : string -> t
-(** @raise Parse_error on malformed input or trailing garbage. *)
+(** @raise Parse_error on malformed input, trailing garbage, or arrays
+    and objects nested deeper than {!max_depth}. *)
 
 val of_string_opt : string -> t option
 

@@ -74,11 +74,6 @@ let error msg = Json.Obj [ ("ok", Json.Bool false); ("error", Json.String msg) ]
 
 let request op fields = Json.Obj (("op", Json.String op) :: fields)
 
-let op_of_request v =
-  match Json.string_field "op" v with
-  | Some op -> op
-  | None -> raise (Protocol_error "request has no \"op\" field")
-
 let is_ok v = match Json.member "ok" v with Some (Json.Bool b) -> b | _ -> false
 
 let error_of_response v =

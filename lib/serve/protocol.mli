@@ -6,7 +6,8 @@
     All reads and writes are blocking and exact. *)
 
 exception Protocol_error of string
-(** Malformed frame: oversized length prefix or unparsable JSON. *)
+(** Malformed frame: oversized length prefix, or a payload {!Json.of_string}
+    rejects. *)
 
 val max_frame : int
 (** Hard ceiling on payload bytes in either direction (64 MiB). *)
@@ -19,7 +20,9 @@ val write_frame : Unix.file_descr -> string -> unit
 
 val read_json : Unix.file_descr -> Json.t
 (** {!read_frame} + parse.
-    @raise Protocol_error when the payload is not JSON. *)
+    @raise End_of_file on a cleanly closed peer.
+    @raise Protocol_error on an oversized frame, or when the payload is
+    not JSON or nests deeper than {!Json.max_depth}. *)
 
 val write_json : Unix.file_descr -> Json.t -> unit
 
@@ -33,9 +36,6 @@ val error : string -> Json.t
 
 val request : string -> (string * Json.t) list -> Json.t
 (** [{"op":op, ...fields}] *)
-
-val op_of_request : Json.t -> string
-(** @raise Protocol_error when the ["op"] field is missing. *)
 
 val is_ok : Json.t -> bool
 val error_of_response : Json.t -> string

@@ -286,31 +286,46 @@ let handle_metrics () =
   (* [report_json] renders the registry; re-parse to embed. *)
   Protocol.ok [ ("metrics", Json.of_string (Obs.report_json ())) ]
 
-(* Dispatch one request. Reads share the RW lock; writes exclude them.
-   Every handler error becomes an {"ok":false} response — a bad request
-   must not kill the connection, let alone the server. [Failure] and
-   [Invalid_argument] carry a message meant for the client; any other
-   exception is reported as OCaml prints it. *)
+(* The handler of a known op. Reads share the RW lock; writes exclude
+   them. *)
+let route t req = function
+  | "ping" -> Some (fun () -> Protocol.ok [ ("pong", Json.Bool true) ])
+  | "status" -> Some (fun () -> Rwlock.read t.rw (fun () -> handle_status t))
+  | "learn" -> Some (fun () -> Rwlock.read t.rw (fun () -> handle_learn t req))
+  | "coverage" ->
+      Some (fun () -> Rwlock.read t.rw (fun () -> handle_coverage t req))
+  | "check" -> Some (fun () -> Rwlock.read t.rw (fun () -> handle_check t req))
+  | "query" -> Some (fun () -> Rwlock.read t.rw (fun () -> handle_query t req))
+  | "insert" ->
+      Some (fun () -> Rwlock.write t.rw (fun () -> handle_insert t req))
+  | "update" ->
+      Some (fun () -> Rwlock.write t.rw (fun () -> handle_update t req))
+  | "metrics" -> Some handle_metrics
+  | "shutdown" ->
+      Some
+        (fun () ->
+          Atomic.set t.stop true;
+          Protocol.ok [])
+  | _ -> None
+
+(* Dispatch one request. Every handler error becomes an {"ok":false}
+   response — a bad request must not kill the connection, let alone the
+   server. [Failure] and [Invalid_argument] carry a message meant for the
+   client; any other exception is reported as OCaml prints it. A request
+   without a known op is timed under one span, [serve.unknown], so the
+   registry does not grow a histogram per op string a client invents. *)
 let handle t req =
   Obs.incr requests_c;
-  let op = Protocol.op_of_request req in
-  let dispatch () =
-    match op with
-    | "ping" -> Protocol.ok [ ("pong", Json.Bool true) ]
-    | "status" -> Rwlock.read t.rw (fun () -> handle_status t)
-    | "learn" -> Rwlock.read t.rw (fun () -> handle_learn t req)
-    | "coverage" -> Rwlock.read t.rw (fun () -> handle_coverage t req)
-    | "check" -> Rwlock.read t.rw (fun () -> handle_check t req)
-    | "query" -> Rwlock.read t.rw (fun () -> handle_query t req)
-    | "insert" -> Rwlock.write t.rw (fun () -> handle_insert t req)
-    | "update" -> Rwlock.write t.rw (fun () -> handle_update t req)
-    | "metrics" -> handle_metrics ()
-    | "shutdown" ->
-        Atomic.set t.stop true;
-        Protocol.ok []
-    | other -> Protocol.error (Printf.sprintf "unknown op %S" other)
+  let op, run =
+    match Json.string_field "op" req with
+    | None -> ("unknown", fun () -> failwith "request has no string \"op\" field")
+    | Some op -> (
+        match route t req op with
+        | Some run -> (op, run)
+        | None ->
+            ("unknown", fun () -> failwith (Printf.sprintf "unknown op %S" op)))
   in
-  try Obs.span ("serve." ^ op) dispatch
+  try Obs.span ("serve." ^ op) run
   with exn ->
     Obs.incr errors_c;
     Protocol.error
@@ -330,6 +345,9 @@ let rec accept_ready fd stop =
     | _ -> accept_ready fd stop
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_ready fd stop
 
+(* A peer that hangs up before its reply makes the write fail with
+   [EPIPE] (SIGPIPE is ignored, see [run]) or a read fail with
+   [ECONNRESET]: the connection ends there, counted as an error. *)
 let serve_connection t fd =
   Obs.incr connections_c;
   let rec loop () =
@@ -343,10 +361,19 @@ let serve_connection t fd =
         (try Protocol.write_json fd (Protocol.error msg)
          with Unix.Unix_error _ -> ())
   in
-  Fun.protect loop ~finally:(fun () ->
+  let serve () =
+    try loop ()
+    with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
+      Obs.incr errors_c
+  in
+  Fun.protect serve ~finally:(fun () ->
       try Unix.close fd with Unix.Unix_error _ -> ())
 
 let run t ~socket_path =
+  (* Without this, a client closing its socket before its reply kills the
+     whole process with SIGPIPE. *)
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+   with Invalid_argument _ -> ());
   if Sys.file_exists socket_path then Sys.remove socket_path;
   let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Fun.protect

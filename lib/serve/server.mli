@@ -13,30 +13,33 @@
     [pos]/[neg] prefix sizes), [coverage] (clause), [check] (optional
     clause list), [query] (clause, optional limit), [insert] / [update]
     (relation, values, id for update), [metrics], [shutdown]. Every
-    request is timed under a [serve.<op>] span; [serve.requests],
-    [serve.errors] and [serve.connections] count on the
-    {!Dlearn_obs.Obs} registry. *)
+    request is timed under a [serve.<op>] span, and a request without a
+    known op under [serve.unknown]; [serve.requests], [serve.errors] and
+    [serve.connections] count on the {!Dlearn_obs.Obs} registry. *)
 
 type t
 (** The warm server state. Usable directly in-process ({!handle}) — the
     tests and the warm-path benchmark drive it without a socket. *)
 
 val create : Dlearn_eval.Workload.t -> t
-(** Adopt the workload's database (forcing any lazily loaded relations)
-    and build the long-lived context over it. Writes go straight into
-    that database: it must not be mutated behind the server's back
-    afterwards. *)
+(** Adopt the workload's database and build the long-lived context over
+    it, with empty caches. Writes go straight into that database: it must
+    not be mutated behind the server's back afterwards. *)
 
 val handle : t -> Json.t -> Json.t
 (** Dispatch one request under the RW lock and return the response
-    envelope. Handler failures (bad fields, parse errors, learner
-    rejections) become [{"ok":false}] responses, never exceptions. *)
+    envelope. Every failure — a request that is not an object or has no
+    string ["op"], an unknown op, bad fields, parse errors, learner
+    rejections — becomes an [{"ok":false}] response counted in
+    [serve.errors]; [handle] never raises. *)
 
 val run : t -> socket_path:string -> unit
 (** Bind the socket (removing a stale file first), accept connections —
     one systhread each — and serve until a [shutdown] request (or
     {!stop}) is observed; joins the connection threads and removes the
-    socket file before returning. *)
+    socket file before returning. It sets SIGPIPE to be ignored for the
+    whole process, so a client that hangs up before its reply costs only
+    its own connection (counted in [serve.errors]), never the server. *)
 
 val stop : t -> unit
 (** Ask the accept loop to stop; safe from any thread or signal. *)

@@ -38,21 +38,21 @@ let subsumes (ctx : Context.t) ?repair_connectivity c target =
 let subsumes_some_repair ctx entry cr =
   List.exists
     (subsumes ctx ~repair_connectivity:false cr)
-    (Coverage.ground_repair_targets ctx entry)
+    (Dlearn_parallel.Memo.force entry.Context.repair_targets)
 
 (* Def 4.4 against the ground bottom clause (sound by Thm 4.6); failing
    that, Def 3.4: every repaired clause subsumes some repaired ground
    clause. *)
 let covers_positive ctx h e =
-  let entry = Bottom_clause.ground ctx e in
-  subsumes ctx h.clause (Coverage.ground_target ctx entry)
+  let entry = Coverage.ground ctx e in
+  subsumes ctx h.clause (Dlearn_parallel.Memo.force entry.Context.target)
   ||
   let crs = Lazy.force h.repairs in
   crs <> [] && List.for_all (subsumes_some_repair ctx entry) crs
 
 (* Def 3.6: some repaired clause subsumes some repaired ground clause. *)
 let covers_negative ctx h e =
-  let entry = Bottom_clause.ground ctx e in
+  let entry = Coverage.ground ctx e in
   List.exists (subsumes_some_repair ctx entry) (Lazy.force h.repairs)
 
 let count pred l = List.length (List.filter pred l)

@@ -136,7 +136,7 @@ let bottom_tests =
     Alcotest.test_case "ground bottom clause is ground with merged repairs"
       `Quick (fun () ->
         let ctx = toy_ctx () in
-        let entry = Bottom_clause.ground ctx (ex "m1") in
+        let entry = Coverage.ground ctx (ex "m1") in
         let g = entry.Context.ground in
         Alcotest.(check (list string)) "no variables" [] (Clause.vars g);
         let merged_replacement =
@@ -150,8 +150,8 @@ let bottom_tests =
         Alcotest.(check bool) "merged replacement" true merged_replacement);
     Alcotest.test_case "ground clause is cached" `Quick (fun () ->
         let ctx = toy_ctx () in
-        let e1 = Bottom_clause.ground ctx (ex "m1") in
-        let e2 = Bottom_clause.ground ctx (ex "m1") in
+        let e1 = Coverage.ground ctx (ex "m1") in
+        let e2 = Coverage.ground ctx (ex "m1") in
         Alcotest.(check bool) "same entry" true (e1 == e2));
     Alcotest.test_case "depth 1 reaches less than depth 3" `Quick (fun () ->
         let shallow =
@@ -309,6 +309,37 @@ let generalization_tests =
           (size warm);
         Alcotest.(check bool) "warm = cold" true
           (Option.equal Clause.equal warm cold));
+    Alcotest.test_case "a write recomputes only the touched example's ARMG"
+      `Quick (fun () ->
+        (* Depth 1 keeps each ground clause to its own example's tuples,
+           so a new genre row of m3 touches m3 alone. *)
+        let ctx = toy_ctx ~config:{ (toy_config ()) with Config.depth = 1 } () in
+        let computed = Dlearn_obs.Obs.counter "armg.computed" in
+        let bottom = Bottom_clause.build ctx Bottom_clause.Variable (ex "m1") in
+        let armg e = Generalization.armg ctx bottom e in
+        let touched = ex "m3" and untouched = ex "m4" in
+        ignore (armg touched);
+        let kept = armg untouched in
+        let entry_t = Coverage.ground ctx touched
+        and entry_u = Coverage.ground ctx untouched in
+        let row = Tuple.of_strings [ "m3"; "horror" ] in
+        ignore (Relation.insert (Database.find ctx.Context.db "imdb_genres") row);
+        Alcotest.(check int) "one example invalidated" 1
+          (Context.apply_delta ctx [ ("imdb_genres", [ row ]) ]);
+        let since f =
+          let before = Dlearn_obs.Obs.value computed in
+          let r = f () in
+          (r, Dlearn_obs.Obs.value computed - before)
+        in
+        let again, n = since (fun () -> armg untouched) in
+        Alcotest.(check int) "untouched answers from the memo" 0 n;
+        Alcotest.(check bool) "the same result" true (again == kept);
+        Alcotest.(check bool) "untouched entry kept" true
+          (Coverage.ground ctx untouched == entry_u);
+        let _, n = since (fun () -> armg touched) in
+        Alcotest.(check int) "touched recomputes" 1 n;
+        Alcotest.(check bool) "touched entry is fresh" false
+          (Coverage.ground ctx touched == entry_t));
   ]
 
 let learner_tests =
@@ -616,7 +647,7 @@ let commutativity_tests =
         let db = ambiguous_db () in
         let ctx = Context.create config db [ md ] [] in
         let e = ex "m10" in
-        let ground = (Bottom_clause.ground ctx e).Context.ground in
+        let ground = (Coverage.ground ctx e).Context.ground in
         let repairs = Clause_repair.repaired_clauses ground in
         let instances =
           Stable_instance.stable_instances ~sim:config.Config.sim db [ md ]
@@ -628,7 +659,7 @@ let commutativity_tests =
         List.iter
           (fun instance ->
             let ictx = Context.create config instance [ md ] [] in
-            let ig = (Bottom_clause.ground ictx e).Context.ground in
+            let ig = (Coverage.ground ictx e).Context.ground in
             Alcotest.(check bool)
               "stable-instance bottom clause subsumes a repair" true
               (List.exists
@@ -863,7 +894,7 @@ let repair_oracle_tests =
         let before = Dlearn_obs.Obs.value truncated in
         List.iter
           (fun e ->
-            let ground = (Bottom_clause.ground ctx e).Context.ground in
+            let ground = (Coverage.ground ctx e).Context.ground in
             List.iter
               (fun cfd ->
                 match

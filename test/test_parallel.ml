@@ -187,6 +187,45 @@ let pool_tests =
         Alcotest.(check bool) "same pool" true (Pool.get 4 == Pool.get 4);
         Alcotest.(check int) "size respected" 4 (Pool.num_domains (Pool.get 4));
         Alcotest.(check int) "sequential pool" 1 (Pool.num_domains (Pool.get 1)));
+    Alcotest.test_case "a batch submitted while another is in flight runs inline"
+      `Quick (fun () ->
+        (* The first batch's one chunk cannot finish before the second
+           batch does, as when its chunk waits on a Memo cell the second
+           submitter is computing: a second submitter that waited for the
+           pool would deadlock. *)
+        with_forced_fanout (fun () ->
+            let pool = Pool.get 2 in
+            let in_flight = Atomic.make false in
+            let second_done = Atomic.make false in
+            let first =
+              Domain.spawn (fun () ->
+                  Pool.map pool
+                    (fun i ->
+                      if i > 0 then begin
+                        Atomic.set in_flight true;
+                        while not (Atomic.get second_done) do
+                          Domain.cpu_relax ()
+                        done
+                      end;
+                      i)
+                    [| 0; 1 |])
+            in
+            while not (Atomic.get in_flight) do
+              Domain.cpu_relax ()
+            done;
+            let before = Pool.stats pool in
+            let second = Pool.map pool succ (Array.init 8 Fun.id) in
+            let after = Pool.stats pool in
+            Atomic.set second_done true;
+            Alcotest.(check (array int)) "second batch" (Array.init 8 succ)
+              second;
+            Alcotest.(check int) "finished inline"
+              (before.Pool.inline_batches + 1)
+              after.Pool.inline_batches;
+            Alcotest.(check int) "no second task" before.Pool.tasks
+              after.Pool.tasks;
+            Alcotest.(check (array int)) "first batch" [| 0; 1 |]
+              (Domain.join first)));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -231,6 +270,42 @@ let memo_tests =
         ignore (attempt ());
         Alcotest.(check int) "thunk ran once" 1 (Atomic.get runs);
         Alcotest.(check bool) "is_forced after raise" true (Memo.is_forced cell));
+    Alcotest.test_case "a table computes each key once" `Quick (fun () ->
+        let module T = Memo.Table (Int) in
+        let table = T.create 8 in
+        let runs = Array.init 4 (fun _ -> Atomic.make 0) in
+        let get k =
+          T.find_or_add table k (fun () ->
+              Atomic.incr runs.(k);
+              ref k)
+        in
+        (* Domain [i] asks for the keys in the order i, i + 1, ... *)
+        let results =
+          List.init 8 (fun i ->
+              Domain.spawn (fun () ->
+                  Array.init 4 (fun k -> get ((k + i) mod 4))))
+          |> List.map Domain.join
+        in
+        Array.iteri
+          (fun k r ->
+            Alcotest.(check int) (Printf.sprintf "key %d ran once" k) 1
+              (Atomic.get r))
+          runs;
+        let first = List.hd results in
+        List.iteri
+          (fun i r ->
+            Array.iteri
+              (fun j v ->
+                Alcotest.(check bool) "physically equal" true
+                  (v == first.((j + i) mod 4)))
+              r)
+          results;
+        Alcotest.(check (list int)) "computed keys" [ 0; 1; 2; 3 ]
+          (List.sort compare (List.map fst (T.computed table)));
+        T.remove table 2;
+        Alcotest.(check bool) "a removed key computes afresh" false
+          (get 2 == first.(2));
+        Alcotest.(check int) "key 2 ran twice" 2 (Atomic.get runs.(2)));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -466,19 +541,19 @@ let ground_entry_stress () =
     let results =
       List.init 8 (fun i ->
           Domain.spawn (fun () ->
-              let entry = Bottom_clause.ground ctx e in
-              (* Vary the first accessor per domain so different memo
-                 fields race on being forced first. *)
+              let entry = Coverage.ground ctx e in
+              (* Vary the first field per domain so different memo cells
+                 race on being forced first. *)
               (match i mod 4 with
-              | 0 -> ignore (Coverage.ground_repairs ctx entry)
-              | 1 -> ignore (Coverage.ground_target ctx entry)
-              | 2 -> ignore (Coverage.prefilter_target ctx entry)
-              | _ -> ignore (Coverage.ground_repair_targets ctx entry));
+              | 0 -> ignore (Memo.force entry.Context.repairs)
+              | 1 -> ignore (Memo.force entry.Context.target)
+              | 2 -> ignore (Memo.force entry.Context.prefilter_target)
+              | _ -> ignore (Memo.force entry.Context.repair_targets));
               ( entry,
-                Coverage.ground_repairs ctx entry,
-                Coverage.ground_target ctx entry,
-                Coverage.ground_repair_targets ctx entry,
-                Coverage.prefilter_target ctx entry )))
+                Memo.force entry.Context.repairs,
+                Memo.force entry.Context.target,
+                Memo.force entry.Context.repair_targets,
+                Memo.force entry.Context.prefilter_target )))
       |> List.map Domain.join
     in
     let entry0, repairs0, target0, rts0, pf0 = List.hd results in
@@ -489,6 +564,33 @@ let ground_entry_stress () =
         Alcotest.(check bool) "one target" true (target == target0);
         Alcotest.(check bool) "one repair-target list" true (rts == rts0);
         Alcotest.(check bool) "one prefilter target" true (pf == pf0))
+      results
+  done
+
+(* Eight domains generalize one parent towards one example on a cold
+   context: the ARMG memo computes once and hands every domain the same
+   result. *)
+let armg_stress () =
+  let computed = Dlearn_obs.Obs.counter "armg.computed" in
+  for _round = 1 to 10 do
+    let ctx =
+      Context.create
+        (toy_config ~jobs:1 ~threshold:0.7)
+        (violating_db ()) [ md_title ] [ phi ]
+    in
+    let parent = Bottom_clause.build ctx Bottom_clause.Variable (ex "m1") in
+    let before = Dlearn_obs.Obs.value computed in
+    let results =
+      List.init 8 (fun _ ->
+          Domain.spawn (fun () -> Generalization.armg ctx parent (ex "m3")))
+      |> List.map Domain.join
+    in
+    Alcotest.(check int) "computed once" 1
+      (Dlearn_obs.Obs.value computed - before);
+    let first = List.hd results in
+    Alcotest.(check bool) "a generalization" true (Option.is_some first);
+    List.iter
+      (fun r -> Alcotest.(check bool) "physically equal" true (r == first))
       results
   done
 
@@ -619,6 +721,8 @@ let stress_tests =
   [
     Alcotest.test_case "shared ground entry memoizes once across domains"
       `Quick ground_entry_stress;
+    Alcotest.test_case "concurrent ARMG of one pair computes once" `Quick
+      armg_stress;
     Alcotest.test_case "learner result is identical across domain counts"
       `Quick (fun () ->
         (* Forced fan-out: ARMG generation, bottom-clause similarity

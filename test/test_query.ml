@@ -351,75 +351,6 @@ let aggregate_tests =
            with Invalid_argument _ -> true));
   ]
 
-
-let sql_tests =
-  [
-    Alcotest.test_case "joins, constants and similarity render" `Quick
-      (fun () ->
-        let c =
-          Parser.clause_exn
-            "q(x) <- movies(x, t, y), ratings(t2, \"R\"), t ~ t2"
-        in
-        let sql = Sql.of_clause c in
-        let has sub =
-          let n = String.length sub in
-          let rec go i =
-            i + n <= String.length sql && (String.sub sql i n = sub || go (i + 1))
-          in
-          go 0
-        in
-        Alcotest.(check bool) "selects the head column" true
-          (has "SELECT DISTINCT t0.c0");
-        Alcotest.(check bool) "both atoms aliased" true
-          (has "movies AS t0" && has "ratings AS t1");
-        Alcotest.(check bool) "constant filter" true (has "t1.c1 = 'R'");
-        Alcotest.(check bool) "similarity UDF" true
-          (has "SIMILAR(t0.c1, t1.c0)"));
-    Alcotest.test_case "shared variables become join equalities" `Quick
-      (fun () ->
-        let c = Parser.clause_exn "q(x) <- movies(x, t, y), genres(x, g)" in
-        let sql = Sql.of_clause c in
-        Alcotest.(check bool) "join condition" true
-          (let sub = "t0.c0 = t1.c0" in
-           let n = String.length sub in
-           let rec go i =
-             i + n <= String.length sql && (String.sub sql i n = sub || go (i + 1))
-           in
-           go 0));
-    Alcotest.test_case "string constants are escaped" `Quick (fun () ->
-        let c = Parser.clause_exn {|q(x) <- genres(x, "it's")|} in
-        let sql = Sql.of_clause c in
-        Alcotest.(check bool) "doubled quote" true
-          (let sub = "'it''s'" in
-           let n = String.length sub in
-           let rec go i =
-             i + n <= String.length sql && (String.sub sql i n = sub || go (i + 1))
-           in
-           go 0));
-    Alcotest.test_case "repair literals are rejected" `Quick (fun () ->
-        let c =
-          Clause.make
-            ~head:(rel "q" [ v "x" ])
-            [
-              rel "movies" [ v "x"; v "t"; v "y" ];
-              Literal.Repair
-                {
-                  origin = Literal.From_md "m";
-                  group = 0;
-                  cond = [];
-                  subject = v "t";
-                  replacement = v "r";
-                  drops = [];
-                };
-            ]
-        in
-        Alcotest.(check bool) "raises" true
-          (try
-             ignore (Sql.of_clause c);
-             false
-           with Invalid_argument _ -> true));
-  ]
-
 let () =
   Alcotest.run "query"
     [
@@ -428,6 +359,5 @@ let () =
       ("cross_check", cross_check_tests);
       ("materialized", materialized_tests);
       ("aggregate", aggregate_tests);
-      ("sql", sql_tests);
       ("properties", qcheck_tests);
     ]

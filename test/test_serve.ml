@@ -40,6 +40,15 @@ let json_tests =
             Alcotest.(check bool) (Printf.sprintf "rejects %S" s) true
               (Json.of_string_opt s = None))
           [ "{"; "[1,]"; "{\"a\":}"; "nul"; "1 2"; "\"unterminated"; "" ]);
+    Alcotest.test_case "nesting deeper than the bound is a parse error"
+      `Quick (fun () ->
+        let nested n = String.make n '[' ^ String.make n ']' in
+        Alcotest.(check bool) "at the bound" true
+          (Json.of_string_opt (nested Json.max_depth) <> None);
+        Alcotest.(check bool) "one past it" true
+          (match Json.of_string (nested (Json.max_depth + 1)) with
+          | _ -> false
+          | exception Json.Parse_error _ -> true));
     Alcotest.test_case "accessors tolerate wrong shapes" `Quick (fun () ->
         let v = Json.Obj [ ("s", Json.String "x"); ("i", Json.Int 3) ] in
         Alcotest.(check (option string)) "string" (Some "x")
@@ -224,6 +233,9 @@ let server_tests =
                 ("relation", Json.String "imdb_movies");
                 ("values", Json.List [ Json.String "tt1"; Json.String "T"; Json.String "y" ]);
               ];
+            Json.Obj [];
+            Json.List [];
+            Json.Obj [ ("op", Json.Int 3) ];
           ];
         let status = ok_exn (Server.handle t (Protocol.request "status" [])) in
         Alcotest.(check (option int)) "no write counted" (Some 0)
@@ -463,19 +475,93 @@ let server_tests =
             Alcotest.(check bool) "shutdown acknowledged" true
               (Protocol.is_ok bye);
             Client.close c));
+    Alcotest.test_case "a client hanging up costs only its connection"
+      `Quick (fun () ->
+        let t = Server.create (fresh_workload ()) in
+        let dir = Filename.temp_file "dlearn_serve" "" in
+        Sys.remove dir;
+        Unix.mkdir dir 0o755;
+        let path = Filename.concat dir "s.sock" in
+        let errors = Dlearn_obs.Obs.counter "serve.errors" in
+        let before = Dlearn_obs.Obs.value errors in
+        let server = Thread.create (fun () -> Server.run t ~socket_path:path) () in
+        Fun.protect
+          ~finally:(fun () ->
+            Server.stop t;
+            Thread.join server;
+            if Sys.file_exists path then Sys.remove path;
+            Sys.rmdir dir)
+          (fun () ->
+            Client.close (Client.connect_retry path);
+            (* Send a learn and close before the reply: the server's write
+               of that reply fails. *)
+            let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+            Unix.connect fd (Unix.ADDR_UNIX path);
+            Protocol.write_json fd
+              (Protocol.request "learn" [ ("pos", Json.Int 4); ("neg", Json.Int 4) ]);
+            Unix.close fd;
+            let rec await n =
+              if Dlearn_obs.Obs.value errors = before && n > 0 then begin
+                Thread.delay 0.05;
+                await (n - 1)
+              end
+            in
+            await 1200;
+            Alcotest.(check int) "the hang-up is one error" 1
+              (Dlearn_obs.Obs.value errors - before);
+            let c = Client.connect path in
+            let status = Client.request c (Protocol.request "status" []) in
+            Client.close c;
+            Alcotest.(check bool) "a fresh client is served" true
+              (Protocol.is_ok status)));
     Alcotest.test_case "a warm relearn with no write normalizes nothing"
       `Quick (fun () ->
+        (* Nor does it compute an ARMG: the replayed climb's candidates
+           all come from the ground entries' ARMG memos. *)
         let normalized = Dlearn_obs.Obs.counter "normalize.clauses" in
+        let computed = Dlearn_obs.Obs.counter "armg.computed" in
         let learn_req =
           Protocol.request "learn" [ ("pos", Json.Int 6); ("neg", Json.Int 10) ]
         in
         let t = Server.create (fresh_workload ()) in
         let first = clauses_of (ok_exn (Server.handle t learn_req)) in
         let before = Dlearn_obs.Obs.value normalized in
+        let armg_before = Dlearn_obs.Obs.value computed in
         let again = clauses_of (ok_exn (Server.handle t learn_req)) in
         Alcotest.(check int) "no normalization" 0
           (Dlearn_obs.Obs.value normalized - before);
+        Alcotest.(check int) "no ARMG computed" 0
+          (Dlearn_obs.Obs.value computed - armg_before);
         Alcotest.(check (list string)) "same definition" first again);
+    Alcotest.test_case "concurrent cold reads finish" `Quick (fun () ->
+        (* Reads on a cold server ground the same examples at once, and
+           every batch fans out: a request computing an example's ground
+           entry submits a nested batch while another request's batch is
+           in flight, with one of its chunks waiting for that entry. Had
+           the pool made that request wait, neither would finish. *)
+        let module Pool = Dlearn_parallel.Pool in
+        let learn_req =
+          Protocol.request "learn" [ ("pos", Json.Int 4); ("neg", Json.Int 4) ]
+        in
+        let reqs = [ coverage_req; learn_req; coverage_req; learn_req ] in
+        Pool.set_cost_model ~fanout_threshold:0 ~min_chunk:0 ();
+        Fun.protect ~finally:Pool.reset_cost_model (fun () ->
+            for _ = 1 to 4 do
+              let t = Server.create (fresh_workload ~jobs:4 ()) in
+              let resps = Array.make (List.length reqs) None in
+              List.mapi
+                (fun i req ->
+                  Thread.create
+                    (fun () -> resps.(i) <- Some (Server.handle t req))
+                    ())
+                reqs
+              |> List.iter Thread.join;
+              Array.iter
+                (function
+                  | Some resp -> ignore (ok_exn resp)
+                  | None -> Alcotest.fail "no response")
+                resps
+            done));
   ]
 
 (* {2 The interleaving property}
