@@ -609,6 +609,10 @@ let client_cmd =
   in
   let run socket wait request =
     let open Dlearn_serve in
+    (* A write to a socket the server has closed then fails with EPIPE,
+       reported below, instead of killing the client. *)
+    (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+     with Invalid_argument _ -> ());
     let req =
       try Json.of_string request
       with Json.Parse_error msg ->
@@ -620,7 +624,18 @@ let client_cmd =
         input_error "--socket %S: cannot connect (%s)" socket
           (Unix.error_message err)
     in
-    let resp = Client.request c req in
+    let resp =
+      try Client.request c req with
+      | End_of_file ->
+          input_error "--socket %S: the server closed the connection without \
+             replying"
+            socket
+      | Unix.Unix_error (err, _, _) ->
+          input_error "--socket %S: request failed (%s)" socket
+            (Unix.error_message err)
+      | Protocol.Protocol_error msg ->
+          input_error "--socket %S: malformed response (%s)" socket msg
+    in
     Client.close c;
     print_endline (Json.to_string resp);
     if not (Protocol.is_ok resp) then exit 1

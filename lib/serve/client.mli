@@ -14,6 +14,9 @@ val connect_retry : ?attempts:int -> ?delay:float -> string -> t
 val request : t -> Json.t -> Json.t
 (** Send one request frame and block for the response frame.
     @raise End_of_file when the server closed the connection.
+    @raise Unix.Unix_error when the connection fails mid-request, e.g.
+    [EPIPE] writing to a closed socket (with SIGPIPE ignored) or
+    [ECONNRESET].
     @raise Protocol.Protocol_error on a malformed response. *)
 
 val close : t -> unit

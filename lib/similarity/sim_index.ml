@@ -3,10 +3,12 @@ module Obs = Dlearn_obs.Obs
 module Pool = Dlearn_parallel.Pool
 
 (* Candidate-generation counters. Unconditional (like the coverage
-   counters): they are the contract the dedup/prefilter tests pin. *)
+   counters): they are the contract the dedup/prefilter tests pin. A
+   query counts in locals and adds each total once. *)
 let candidates_c = Obs.counter "sim_index.candidates"
 let measured_c = Obs.counter "sim_index.measured"
 let pruned_c = Obs.counter "sim_index.length_pruned"
+let count_pruned_c = Obs.counter "sim_index.count_pruned"
 
 (* {2 Gram keys}
 
@@ -207,6 +209,80 @@ let score_ceiling measure la lb =
     ->
       1.0
 
+(* {2 Character-count ceiling}
+
+   A second bound for the SWG-based measures, from the byte multisets of
+   the lowercased strings. Each match column of a local alignment pairs
+   one occurrence of a byte in each string, and mismatch and gap scores
+   are ≤ 0, so the raw SWG score is at most [match_score × overlap] with
+   [overlap = Σ_c min (count_q c) (count_v c)]. The ceiling is the
+   measure's own float expression with that product in place of the raw
+   score, so it is ≥ the exact score as computed:
+   - the computed raw score is the float sum along some alignment path.
+     A penalty-free path is a sum of 1.0s, which is exact and at most
+     the overlap. Any penalty leaves a path at least 0.2 (the smallest,
+     [gap_extend]) below the overlap in exact arithmetic, far more than
+     the rounding error of a few hundred additions. No margin is needed;
+   - division, [min]/[max] and the average with length similarity are
+     monotone under rounding. *)
+
+let lower_code s i = Char.code (Char.lowercase_ascii (String.unsafe_get s i))
+
+(* [seen] is all zeros on entry and is left so. *)
+let overlap_counts query_counts seen v =
+  let len = String.length v in
+  let total = ref 0 in
+  for i = 0 to len - 1 do
+    let c = lower_code v i in
+    let k = Array.unsafe_get seen c in
+    if k < Array.unsafe_get query_counts c then incr total;
+    Array.unsafe_set seen c (k + 1)
+  done;
+  for i = 0 to len - 1 do
+    Array.unsafe_set seen (lower_code v i) 0
+  done;
+  !total
+
+let byte_counts s =
+  let counts = Array.make 256 0 in
+  for i = 0 to String.length s - 1 do
+    let c = lower_code s i in
+    counts.(c) <- counts.(c) + 1
+  done;
+  counts
+
+let char_overlap a b = overlap_counts (byte_counts a) (Array.make 256 0) b
+
+(* The measure's expression ([Smith_waterman.similarity], averaged with
+   [Length_similarity.similarity] for [Paper]) with [match_score ×
+   overlap] in place of the raw SWG score. *)
+let[@inline] ceiling_of_overlap measure s v overlap =
+  let lq = String.length s and lv = String.length v in
+  let swg =
+    if lq = 0 || lv = 0 then 0.0
+    else begin
+      let match_score = Smith_waterman.default_params.match_score in
+      let max_score = match_score *. float_of_int (min lq lv) in
+      let ratio = match_score *. float_of_int overlap /. max_score in
+      Float.min 1.0 (Float.max 0.0 ratio)
+    end
+  in
+  match measure with
+  | Combined.Paper -> (swg +. Length_similarity.similarity s v) /. 2.0
+  | Combined.Smith_waterman | Combined.Levenshtein | Combined.Jaro_winkler
+  | Combined.Ngram_jaccard _ ->
+      swg
+
+let counts_bound = function
+  | Combined.Paper | Combined.Smith_waterman -> true
+  | Combined.Levenshtein | Combined.Jaro_winkler | Combined.Ngram_jaccard _ ->
+      false
+
+let count_ceiling measure q v =
+  if counts_bound measure then
+    Some (ceiling_of_overlap measure q v (char_overlap q v))
+  else None
+
 let take km xs =
   let rec go i = function
     | [] -> []
@@ -215,24 +291,42 @@ let take km xs =
   in
   go 0 xs
 
+(* Cheap-first: the length band, then the character-count ceiling, and
+   the exact measure only on candidates both leave above [threshold]. *)
 let rank_and_cut ?(prefilter = true) t ~km ~threshold s candidate_ids =
   let lq = String.length s in
+  let by_counts = prefilter && counts_bound t.measure in
+  let query_counts = if by_counts then byte_counts s else [||] in
+  let seen = if by_counts then Array.make 256 0 else [||] in
+  let length_pruned = ref 0 and count_pruned = ref 0 and measured = ref 0 in
   let scored =
     List.filter_map
       (fun i ->
-        if prefilter && score_ceiling t.measure lq t.lengths.(i) < threshold
+        let lv = t.lengths.(i) in
+        let v = t.values.(i) in
+        if prefilter && score_ceiling t.measure lq lv < threshold then begin
+          incr length_pruned;
+          None
+        end
+        else if
+          by_counts
+          && ceiling_of_overlap t.measure s v
+               (overlap_counts query_counts seen v)
+             < threshold
         then begin
-          Obs.incr pruned_c;
+          incr count_pruned;
           None
         end
         else begin
-          Obs.incr measured_c;
-          let v = t.values.(i) in
+          incr measured;
           let score = Combined.similarity ~measure:t.measure s v in
           if score >= threshold then Some (v, score) else None
         end)
       candidate_ids
   in
+  Obs.add pruned_c !length_pruned;
+  Obs.add count_pruned_c !count_pruned;
+  Obs.add measured_c !measured;
   let sorted =
     List.sort
       (fun (v1, s1) (v2, s2) ->
@@ -243,15 +337,18 @@ let rank_and_cut ?(prefilter = true) t ~km ~threshold s candidate_ids =
   in
   take km sorted
 
+(* Dedup over a bitmap of value ids, one bit per stored value. *)
 let candidate_ids t s =
-  let seen = Hashtbl.create 64 in
+  let seen = Bytes.make ((Array.length t.values + 7) / 8) '\000' in
   let candidates = ref [] in
   Array.iter
     (fun k ->
       List.iter
         (fun i ->
-          if not (Hashtbl.mem seen i) then begin
-            Hashtbl.add seen i ();
+          let byte = i lsr 3 and bit = 1 lsl (i land 7) in
+          let b = Char.code (Bytes.unsafe_get seen byte) in
+          if b land bit = 0 then begin
+            Bytes.unsafe_set seen byte (Char.unsafe_chr (b lor bit));
             candidates := i :: !candidates
           end)
         (Itable.find t.postings k))
@@ -263,8 +360,8 @@ let query t ~km ~threshold s =
   Obs.add candidates_c (List.length candidates);
   rank_and_cut t ~km ~threshold s candidates
 
-(* The brute oracle scores every stored value with no blocking and no
-   length prefilter, so equivalence tests validate both at once. *)
+(* The brute oracle scores every stored value with no blocking and
+   neither ceiling, so equivalence tests validate all three at once. *)
 let query_brute t ~km ~threshold s =
   rank_and_cut ~prefilter:false t ~km ~threshold s
     (List.init (Array.length t.values) Fun.id)

@@ -17,12 +17,17 @@
       gram. Gram extraction fans out over the domain {!Pool}, and one
       sequential pass in value order fills the table, so the result is
       bit-identical whatever [jobs] is, pinned by {!postings_digest};
-    - candidates are deduplicated before scoring (a value sharing k
-      grams with the query is measured once, counted by the
-      [sim_index.measured] counter) and a length-band prefilter skips
-      candidates whose score ceiling from lengths alone
-      ([Paper], [Levenshtein]) already misses the threshold
-      ([sim_index.length_pruned]). *)
+    - candidates are deduplicated before scoring through a per-query
+      bitmap over value ids (a value sharing k grams with the query is
+      a candidate once, counted by [sim_index.candidates]);
+    - scoring runs cheap-first: a length-band prefilter skips
+      candidates whose score ceiling from lengths alone ([Paper],
+      [Levenshtein]) already misses the threshold
+      ([sim_index.length_pruned]); for [Paper] and [Smith_waterman], a
+      character-count ceiling ({!count_ceiling}) then skips candidates
+      whose byte multisets cannot align well enough
+      ([sim_index.count_pruned]); the exact measure runs on the rest
+      ([sim_index.measured]). Each query adds its counts once. *)
 
 type t
 
@@ -51,11 +56,25 @@ val size : t -> int
 val query : t -> km:int -> threshold:float -> string -> (string * float) list
 
 (** [query_brute t ~km ~threshold s] is [query] without blocking and
-    without the length prefilter — the reference implementation used for
-    the ablation bench and the equivalence tests (so those tests validate
-    blocking and prefilter soundness at once). *)
+    without either ceiling — the reference implementation used for the
+    ablation bench and the equivalence tests (so those tests validate
+    blocking and both ceilings at once). *)
 val query_brute :
   t -> km:int -> threshold:float -> string -> (string * float) list
+
+(** [char_overlap a b] is [Σ_c min (count_a c) (count_b c)] over the
+    bytes of the lowercased strings: the size of their byte-multiset
+    intersection, which bounds the number of match columns of any local
+    alignment of the two. *)
+val char_overlap : string -> string -> int
+
+(** [count_ceiling measure q v] is [Some c] for [Paper] and
+    [Smith_waterman], where [c] is the measure's score expression with
+    [match_score × char_overlap q v] in place of the raw SWG score, so
+    [c ≥ Combined.similarity ~measure q v]; [None] for the other
+    measures. {!query} skips a candidate whose ceiling falls below the
+    threshold. *)
+val count_ceiling : Combined.measure -> string -> string -> float option
 
 (** [match_pairs ?n ?measure ?jobs ~km ~threshold left right] returns,
     for each string of [left] (deduplicated), its top-[km] matches

@@ -305,52 +305,6 @@ let materialized_tests =
           [ "m1"; "m2"; "m3" ]);
   ]
 
-
-let aggregate_tests =
-  [
-    Alcotest.test_case "count by group" `Quick (fun () ->
-        let rows =
-          Aggregate.run (movie_db ()) oracle
-            (Parser.clause_exn "q(g, x) <- genres(x, g)")
-            ~group_by:[ 0 ] ~aggregate:Aggregate.Count
-        in
-        Alcotest.(check int) "two groups" 2 (List.length rows);
-        let rendered =
-          List.sort String.compare (List.map Tuple.to_string rows)
-        in
-        Alcotest.(check (list string)) "group counts"
-          [ "(comedy, 2)"; "(drama, 1)" ] rendered);
-    Alcotest.test_case "count distinct" `Quick (fun () ->
-        let rows =
-          Aggregate.run (movie_db ()) oracle
-            (Parser.clause_exn "q(x, y) <- movies(x, t, y)")
-            ~group_by:[] ~aggregate:(Aggregate.Count_distinct 1)
-        in
-        (match rows with
-        | [ row ] ->
-            Alcotest.(check string) "2 distinct years" "(2)"
-              (Tuple.to_string row)
-        | _ -> Alcotest.fail "expected one group"));
-    Alcotest.test_case "min and max" `Quick (fun () ->
-        let q = Parser.clause_exn "q(y) <- movies(x, t, y)" in
-        let get f =
-          match Aggregate.run (movie_db ()) oracle q ~group_by:[] ~aggregate:f with
-          | [ row ] -> Tuple.to_string row
-          | _ -> Alcotest.fail "expected one group"
-        in
-        Alcotest.(check string) "min year" "(2001)" (get (Aggregate.Min 0));
-        Alcotest.(check string) "max year" "(2007)" (get (Aggregate.Max 0)));
-    Alcotest.test_case "out-of-range position rejected" `Quick (fun () ->
-        Alcotest.(check bool) "raises" true
-          (try
-             ignore
-               (Aggregate.run (movie_db ()) oracle
-                  (Parser.clause_exn "q(x) <- movies(x, t, y)")
-                  ~group_by:[ 3 ] ~aggregate:Aggregate.Count);
-             false
-           with Invalid_argument _ -> true));
-  ]
-
 let () =
   Alcotest.run "query"
     [
@@ -358,6 +312,5 @@ let () =
       ("parser", parser_tests);
       ("cross_check", cross_check_tests);
       ("materialized", materialized_tests);
-      ("aggregate", aggregate_tests);
       ("properties", qcheck_tests);
     ]

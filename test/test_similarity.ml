@@ -436,6 +436,130 @@ let scale_qcheck_tests =
         [ 1; 4; 8 ])
     [ (0.6, 1); (0.8, 1); (0.9, 3) ]
 
+(* {2 Character-count ceiling}
+
+   A local alignment's match columns pair equal bytes of the two
+   lowercased strings, so the raw SWG score is at most [match_score ×
+   char_overlap], and the measure's expression over that product bounds
+   the exact score. The generators mix capitals, digits, spaces and bytes
+   ≥ 128 into the words, and build values from the query's own words
+   (shuffled, some dropped, some characters retyped), so the byte counts
+   nearly agree while the alignments do not: the bound is tight and still
+   has to hold. *)
+let ceiling_tests =
+  let module Obs = Dlearn_obs.Obs in
+  let open QCheck.Gen in
+  let wide_char =
+    frequency
+      [
+        (4, char_range 'a' 'h');
+        (3, char_range 'A' 'H');
+        (1, char_range '0' '3');
+        (1, return ' ');
+        (1, map Char.chr (128 -- 131));
+      ]
+  in
+  let word = string_size ~gen:wide_char (1 -- 8) in
+  let retype w =
+    map2
+      (fun i c -> String.mapi (fun j x -> if j = i then c else x) w)
+      (0 -- (String.length w - 1))
+      wide_char
+  in
+  let variant words =
+    flatten_l
+      (List.map
+         (fun w ->
+           frequency
+             [
+               (2, return [ w ]);
+               (1, map (fun w -> [ w ]) (retype w));
+               (1, return [ String.uppercase_ascii w ]);
+               (1, return []);
+             ])
+         words)
+    >>= fun kept -> map (String.concat " ") (shuffle_l (List.concat kept))
+  in
+  let phrase = list_size (1 -- 4) word in
+  let pairs =
+    QCheck.make
+      ~print:QCheck.Print.(pair string string)
+      ( phrase >>= fun words ->
+        map
+          (fun b -> (String.concat " " words, b))
+          (oneof [ variant words; map (String.concat " ") phrase ]) )
+  in
+  let query_and_values =
+    QCheck.make
+      ~print:QCheck.Print.(pair string (list string))
+      ( phrase >>= fun words ->
+        map
+          (fun vs -> (String.concat " " words, vs))
+          (list_size (1 -- 10) (variant words)) )
+  in
+  let swg_measures =
+    [ ("paper", Combined.Paper); ("swg", Combined.Smith_waterman) ]
+  in
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"raw swg score is at most match_score x overlap"
+         ~count:500 pairs (fun (a, b) ->
+           let lower = String.lowercase_ascii in
+           Smith_waterman.raw_score (lower a) (lower b)
+           <= Smith_waterman.default_params.match_score
+              *. float_of_int (Sim_index.char_overlap a b)));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"count ceiling bounds the exact score" ~count:500
+         pairs (fun (a, b) ->
+           List.for_all
+             (fun (_, measure) ->
+               match Sim_index.count_ceiling measure a b with
+               | Some c -> c >= Combined.similarity ~measure a b
+               | None -> false)
+             swg_measures));
+    Alcotest.test_case "character counts prune what the length band passes"
+      `Quick (fun () ->
+        (* Equal lengths put the band's ceiling at 1.0. Four of the eight
+           characters are shared, so the count ceiling is
+           (4/8 + 1)/2 = 0.75 < 0.9: no exact measure runs. *)
+        let names =
+          [
+            "sim_index.candidates"; "sim_index.length_pruned";
+            "sim_index.count_pruned"; "sim_index.measured";
+          ]
+        in
+        let read () = List.map (fun n -> Obs.value (Obs.counter n)) names in
+        let idx = Sim_index.create [ "abcdefgh" ] in
+        let before = read () in
+        let hits = Sim_index.query idx ~km:5 ~threshold:0.9 "abcdwxyz" in
+        Alcotest.(check int) "no hits" 0 (List.length hits);
+        Alcotest.(check (list int))
+          "candidates, length_pruned, count_pruned, measured" [ 1; 0; 1; 0 ]
+          (List.map2 ( - ) (read ()) before);
+        Alcotest.(check (option (float 0.)))
+          "ceiling" (Some 0.75)
+          (Sim_index.count_ceiling Combined.Paper "abcdwxyz" "abcdefgh"));
+  ]
+  (* Unigram blocking loses nothing here: a score ≥ 0.6 needs an SWG
+     score > 0, so the query and the value share a character. [query]
+     must then equal the unpruned scan exactly, scores and order
+     included. *)
+  @ List.concat_map
+      (fun (label, measure) ->
+        List.map
+          (fun threshold ->
+            QCheck_alcotest.to_alcotest
+              (QCheck.Test.make
+                 ~name:
+                   (Printf.sprintf "query = brute, %s %.2f" label threshold)
+                 ~count:150 query_and_values
+                 (fun (q, vs) ->
+                   let idx = Sim_index.create ~n:1 ~measure vs in
+                   Sim_index.query idx ~km:10 ~threshold q
+                   = Sim_index.query_brute idx ~km:10 ~threshold q)))
+          [ 0.6; 0.8; 0.9; 0.95 ])
+      swg_measures
+
 let () =
   Alcotest.run "similarity"
     [
@@ -451,4 +575,5 @@ let () =
       ("dedup", dedup_tests);
       ("determinism", determinism_tests);
       ("scale_properties", scale_qcheck_tests);
+      ("count_ceiling", ceiling_tests);
     ]
